@@ -12,12 +12,12 @@ invariant form needed everywhere else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import linalg
-from .errors import AlgebraMismatch, InvalidDescriptor
+from .errors import AlgebraMismatch, InternalError, InvalidDescriptor
 from .truncpoly import TruncPoly
 
 
@@ -145,14 +145,7 @@ class CurrentElement:
     def mat_mult(self, other: "CurrentElement") -> np.ndarray:
         """Associative product over R_m (raw coefficient stack, may leave sl)."""
         self._check(other)
-        p, m = self.alg.p, self.alg.m
-        out = np.zeros_like(self.coeffs)
-        for i in range(m + 1):
-            if not np.any(self.coeffs[i]):
-                continue
-            for j in range(m + 1 - i):
-                out[i + j] = (out[i + j] + self.coeffs[i] @ other.coeffs[j]) % p
-        return out
+        return _stack_mult(self.coeffs, other.coeffs, self.alg.p, self.alg.m)
 
     def trace_poly(self) -> TruncPoly:
         tr = self.coeffs.trace(axis1=1, axis2=2) % self.alg.p
@@ -182,22 +175,24 @@ def bracket(x: CurrentElement, y: CurrentElement) -> CurrentElement:
     return CurrentElement(x.alg, x.mat_mult(y) - y.mat_mult(x))
 
 
-def associative_product(x: CurrentElement, y: CurrentElement, alg=None) -> CurrentElement:
-    """xy as a raw matrix over R_m; only valid as a gl-element."""
-    a = alg or x.alg
-    if a.kind == "sl":
-        raise InvalidDescriptor("associative product leaves sl")
-    return CurrentElement(a, x.mat_mult(y))
+@lru_cache(maxsize=None)
+def _degree_pairs(m: int) -> np.ndarray:
+    """S[k, i, j] = 1 when i + j = k <= m: which degree pairs feed t^k."""
+    S = np.zeros((m + 1, m + 1, m + 1), dtype=np.int64)
+    for i in range(m + 1):
+        for j in range(m + 1 - i):
+            S[i + j, i, j] = 1
+    return S
 
 
 def _stack_mult(a: np.ndarray, b: np.ndarray, p: int, m: int) -> np.ndarray:
-    out = np.zeros_like(a)
-    for i in range(m + 1):
-        if not np.any(a[i]):
-            continue
-        for j in range(m + 1 - i):
-            out[i + j] = (out[i + j] + a[i] @ b[j]) % p
-    return out
+    """Product of coefficient stacks over R_m = F_p[t]/(t^{m+1}).
+
+    Each degree pair a_i b_j is reduced mod p before the pairs of one degree
+    are summed, so int64 holds every entry while n (p-1)^2 does.
+    """
+    prod = np.matmul(a[:, None], b[None, :]) % p
+    return np.einsum("kij,ijac->kac", _degree_pairs(m), prod) % p
 
 
 def p_map(x: CurrentElement) -> CurrentElement:
@@ -211,11 +206,6 @@ def p_map(x: CurrentElement) -> CurrentElement:
     for _ in range(alg.p - 1):
         out = _stack_mult(out, x.coeffs, alg.p, alg.m)
     return CurrentElement(alg, out)
-
-
-def kappa(x_mat: np.ndarray, y_mat: np.ndarray, p: int) -> int:
-    """Trace form on g: Tr(xy) mod p."""
-    return int(np.einsum("ij,ji->", x_mat, y_mat) % p)
 
 
 def kappa_m(x: CurrentElement, y: CurrentElement) -> int:
@@ -525,11 +515,13 @@ def squarefree_part(a, p):
     if len(g) <= 1:
         return a
     q, rem = poly_divmod(a, g, p)
-    assert not rem
+    if rem:
+        raise InternalError("gcd with the derivative does not divide the polynomial")
     r = squarefree_part(g, p)
     gcd_qr = poly_gcd(q, r, p)
     lcm, rem2 = poly_divmod(poly_mul(q, r, p), gcd_qr, p)
-    assert not rem2
+    if rem2:
+        raise InternalError("gcd does not divide the product")
     return lcm
 
 
@@ -637,13 +629,13 @@ def invert_over_ring(a_coeffs: np.ndarray, p: int, m: int) -> np.ndarray:
     return out
 
 
-def _eval_poly_stack(poly, x: CurrentElement) -> np.ndarray:
-    """Evaluate an F_p[x]-polynomial at x via Horner, in stack form."""
-    alg = x.alg
-    out = np.zeros_like(x.coeffs)
+def _eval_poly_stack(poly, a: np.ndarray, p: int, m: int) -> np.ndarray:
+    """Evaluate an F_p[x]-polynomial at a coefficient stack via Horner."""
+    out = np.zeros_like(a)
+    eye = np.eye(a.shape[1], dtype=np.int64)
     for c in reversed(poly):
-        out = _stack_mult(out, x.coeffs, alg.p, alg.m)
-        out[0] = (out[0] + c * np.eye(alg.n, dtype=np.int64)) % alg.p
+        out = _stack_mult(out, a, p, m)
+        out[0] = (out[0] + c * eye) % p
     return out
 
 
@@ -661,27 +653,18 @@ def jordan_decompose(x: CurrentElement):
     mp = minimal_polynomial(X, p)
     g = squarefree_part(mp, p)
     gd = poly_deriv(g, p)
-
-    class _Stack:
-        __slots__ = ("alg", "coeffs")
-
-        def __init__(self, coeffs):
-            self.alg = alg
-            self.coeffs = coeffs
-
-    s = _Stack(x.coeffs)
+    s = x.coeffs
     max_iter = nilpotency_bound(alg) + int(np.ceil(np.log2(alg.n * (alg.m + 1) + 1))) + 2
     for _ in range(max_iter):
-        val = _eval_poly_stack(g, s)
+        val = _eval_poly_stack(g, s, p, alg.m)
         if not np.any(val):
             break
-        dinv = invert_over_ring(_eval_poly_stack(gd, s), p, alg.m)
+        dinv = invert_over_ring(_eval_poly_stack(gd, s, p, alg.m), p, alg.m)
         corr = _stack_mult(val, dinv, p, alg.m)
-        s = _Stack((s.coeffs - corr) % p)
+        s = (s - corr) % p
     else:
-        from .errors import InternalError
         raise InternalError("Jordan-Chevalley Newton iteration did not converge")
-    s = CurrentElement(alg, s.coeffs)
+    s = CurrentElement(alg, s)
     n = x - s
     return s, n
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import AlgebraDescriptor, CurrentElement, get_context
-from .errors import FormulaDomainError, OutOfScope, TooLarge
+from .errors import (BadCharacter, FormulaDomainError, InternalError,
+                     NeedsFieldExtension, OutOfScope, TooLarge)
 from .meataxe import SimpleCatalog, chop, head, is_irreducible
 from .modrep import LambdaWeight, build_baby_verma, enumerate_lambda
 from .pchar import PChar, standard_levi_form, pchar_from_element
@@ -60,11 +61,6 @@ def kostant_table(alg: AlgebraDescriptor) -> PartitionTable:
                     new[acc] += cnt
             table = dict(new)
     return PartitionTable(alg, table)
-
-
-def kostant_pm(gamma, alg: AlgebraDescriptor, table: PartitionTable | None = None) -> int:
-    table = table or kostant_table(alg)
-    return table(gamma)
 
 
 def _same_coset_mod_p_lattice(alg: AlgebraDescriptor, a, b) -> bool:
@@ -360,7 +356,7 @@ def _simple_factors_via_vermas(chi: PChar, seed: int, limit: int):
         return None
     try:
         lams = enumerate_lambda(chi)
-    except Exception:
+    except (BadCharacter, NeedsFieldExtension):
         return None
     out = []
     cat = SimpleCatalog(seed=seed)
@@ -438,7 +434,8 @@ def kw_scan(alg: AlgebraDescriptor, samples: int, seed: int,
                     # genuinely too large: a KW1 violation
                     report.max_simple_dim = max(report.max_simple_dim, d)
                 else:
-                    assert d % deg == 0
+                    if d % deg:
+                        raise InternalError("endomorphism degree does not divide the dimension")
                     report.nonsplit_dims.append((d, deg))
                     report.max_simple_dim = max(report.max_simple_dim, d // deg)
     # attainment witness: a regular toral character with no top layer
@@ -486,6 +483,7 @@ class SemisimpleAuditReport:
     projective_dim: int | None = None
     expected_projective_dim: int | None = None
     projective_factors: list | None = None
+    projective_skip: str | None = None   # why projective_dim is None
 
     @property
     def ok(self) -> bool:
@@ -505,12 +503,12 @@ def semisimple_character_audit(alg: AlgebraDescriptor, seed: int = 0,
     compatible weights gives modules of the predicted dimension which are
     verified simple and pairwise non-isomorphic; the torus projective covers
     induce to modules whose composition series realise the projective
-    dimension count.
+    dimension count.  When that induced module is too large or cannot be
+    built, ``projective_skip`` says why.
     """
     from .meataxe import are_isomorphic
-    from .modrep import build_induced, build_torus_projective, one_dim_base, BaseModule
+    from .modrep import build_Zproj
 
-    ctx = get_context(alg)
     h_reg = _regular_degree0_toral(alg)
     if h_reg is None:
         raise OutOfScope("no regular degree-0 toral element for this descriptor")
@@ -529,22 +527,16 @@ def semisimple_character_audit(alg: AlgebraDescriptor, seed: int = 0,
                                    [Z.dim for Z in mods], expected_dim,
                                    distinct, all_simple, audit)
     # projective side: induce the χ-compatible torus projective cover
-    lam = lams[0]
-    Q = _torus_projective_at_chi(alg, chi, lam)
-    if Q is not None and (alg.p ** ((alg.m + 1) * alg.num_pos_roots)) * Q.dim <= limit:
-        zero = np.zeros((Q.dim, Q.dim), dtype=np.int64)
-        slots = {g: i for i, g in enumerate(Q.gens)}
-        actions = {g: Q.action(slots[g]) for g in Q.gens}
-        for idx in ctx.nplus_indices:
-            actions[idx] = zero
-        base = BaseModule(tuple(sorted(set(Q.gens) | set(ctx.nplus_indices))),
-                          actions, Q.dim, weight_tags=None)
-        P = build_induced(chi, ctx.nminus_indices, base, limit=limit)
-        series = chop(P, seed=seed)
-        report.projective_dim = P.dim
-        report.expected_projective_dim = alg.p ** (
-            (alg.m + 1) * (alg.dim_g + alg.rank) // 2 - alg.rank)
-        report.projective_factors = series.factors
+    try:
+        P = build_Zproj(chi, lams[0], limit=limit)
+    except (TooLarge, BadCharacter) as ex:
+        report.projective_skip = f"induced projective not built: {ex}"
+        return report
+    series = chop(P, seed=seed)
+    report.projective_dim = P.dim
+    report.expected_projective_dim = alg.p ** (
+        (alg.m + 1) * (alg.dim_g + alg.rank) // 2 - alg.rank)
+    report.projective_factors = series.factors
     return report
 
 
@@ -569,17 +561,3 @@ def _regular_degree0_toral(alg: AlgebraDescriptor):
     x = CurrentElement.from_matrix(alg, mat, 0)
     return x if is_regular(x) else None
 
-
-def _torus_projective_at_chi(alg: AlgebraDescriptor, chi: PChar, lam: LambdaWeight):
-    """Analogue of the torus projective cover with the character χ."""
-    from .modrep import build_induced, one_dim_base
-    ctx = get_context(alg)
-    torus = ctx.torus_indices
-    deg0 = [i for i in torus if ctx.meta[i].degree == 0]
-    higher = [i for i in torus if ctx.meta[i].degree >= 1]
-    values = {idx: lam.value(0, ctx.meta[idx].pos[0]) for idx in deg0}
-    base = one_dim_base(deg0, values)
-    try:
-        return build_induced(chi, higher, base, limit=10 ** 9)
-    except Exception:
-        return None

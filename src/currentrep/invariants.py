@@ -18,7 +18,7 @@ from . import linalg
 from .algebra import (AlgebraDescriptor, CurrentElement, bracket,
                       get_context, invert_over_ring, random_element,
                       _stack_mult)
-from .errors import BadIndex
+from .errors import BadIndex, InternalError, NoSolution
 from .truncpoly import TruncPoly
 
 
@@ -136,9 +136,9 @@ def random_group_element(alg: AlgebraDescriptor, rng) -> np.ndarray:
         g = rng.integers(0, alg.p, size=(alg.m + 1, alg.n, alg.n))
         try:
             linalg.inv(g[0], alg.p)
-            return g % alg.p
-        except Exception:
+        except NoSolution:
             continue
+        return g % alg.p
 
 
 def conjugate(x: CurrentElement, g: np.ndarray) -> CurrentElement:
@@ -213,7 +213,8 @@ def independence_check(alg: AlgebraDescriptor, samples: int, seed: int) -> Indep
     gens = list(generator_index_range(alg))
     nfun = len(gens) * (alg.m + 1)
     target = (alg.m + 1) * alg.rank
-    assert nfun == target, "generator count should be (m+1) * rank"
+    if nfun != target:
+        raise InternalError("generator count should be (m+1) * rank")
     best = 0
     witness = None
     for s in range(samples):

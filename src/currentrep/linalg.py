@@ -24,17 +24,25 @@ def asmod(a, p: int) -> np.ndarray:
 
 def matmul(a, b, p: int) -> np.ndarray:
     """Exact product ``a @ b`` over F_p via floating-point BLAS."""
-    a = asmod(a, p)
-    b = asmod(b, p)
-    inner = a.shape[-1]
+    return _mul_reduced(asmod(a, p), asmod(b, p), p)
+
+
+def _float_dtype(inner: int, p: int):
+    """Float dtype that holds a length-``inner`` dot product of residues exactly."""
     bound = inner * (p - 1) ** 2
     if bound < _F32_CAP:
-        out = np.matmul(a.astype(np.float32), b.astype(np.float32))
-    elif bound < _F64_CAP:
-        out = np.matmul(a.astype(np.float64), b.astype(np.float64))
-    else:  # fall back to object-free exact integer matmul (slow, never hit at desk scale)
+        return np.float32
+    if bound < _F64_CAP:
+        return np.float64
+    return None
+
+
+def _mul_reduced(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """``a @ b`` mod p for int64 arrays whose entries are already in [0, p)."""
+    dt = _float_dtype(a.shape[-1], p)
+    if dt is None:  # object-free exact integer matmul (slow, never hit at desk scale)
         return np.matmul(a, b) % p
-    return out.astype(np.int64) % p
+    return np.matmul(a.astype(dt), b.astype(dt)).astype(np.int64) % p
 
 
 def matvec(a, v, p: int) -> np.ndarray:
@@ -55,93 +63,86 @@ def matpow(a, k: int, p: int) -> np.ndarray:
 
 
 def _rref_naive(R: np.ndarray, p: int):
-    """In-place reduced row echelon form; R must already be reduced mod p."""
+    """Reduced row echelon form, computed in place in the int64 matrix R,
+    whose entries must lie in [0, p).
+
+    Returns ``(rows, pivots, where)``: the nonzero rows, their pivot columns
+    and the input row index that each of them came from.  Only the pivot
+    column and the pivot row are reduced at each step; every other entry
+    moves by at most (p-1)^2 per step and is reduced once at the end,
+    unless that could leave the int64 range.
+    """
     rows, cols = R.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(R[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            R[[r, i]] = R[[i, r]]
-        inv_ = pow(int(R[r, c]), p - 2, p)
-        if inv_ != 1:
-            R[r] = (R[r] * inv_) % p
-        col = R[:, c].copy()
-        col[r] = 0
-        hit = np.nonzero(col)[0]
-        if hit.size:
-            R[hit] = (R[hit] - np.outer(col[hit], R[r])) % p
-        pivots.append(c)
-        r += 1
-    return R[:r], pivots
-
-
-def _rref_track(W: np.ndarray, p: int):
-    """Row echelon of a narrow slab, tracking which input rows became pivots."""
-    rows, cols = W.shape
+    lazy = (min(rows, cols) + 1) * (p - 1) ** 2 < 2 ** 63
     where = np.arange(rows)
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(W[r:, c])[0]
+        col = R[:, c] % p
+        nz = col[r:].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
-            W[[r, i]] = W[[i, r]]
-            where[[r, i]] = where[[i, r]]
-        inv_ = pow(int(W[r, c]), p - 2, p)
-        if inv_ != 1:
-            W[r] = (W[r] * inv_) % p
-        col = W[:, c].copy()
+            R[[r, i]] = R[[i, r]]
+            col[[r, i]] = col[[i, r]]
+            where[r], where[i] = where[i], where[r]
+        # rows r.. are zero mod p left of c, so only columns c.. change
+        prow = R[r, c:] % p * pow(int(col[r]), p - 2, p) % p
         col[r] = 0
-        hit = np.nonzero(col)[0]
-        if hit.size:
-            W[hit] = (W[hit] - np.outer(col[hit], W[r])) % p
+        R[:, c:] -= col[:, None] * prow
+        if not lazy:
+            R[:, c:] %= p
+        R[r, c:] = prow
         pivots.append(c)
         r += 1
-    return pivots, where[:r]
+    return R[:r] % p, pivots, where[:r]
 
 
-def _rref_blocked(R: np.ndarray, p: int, nb: int = 96):
-    """Blocked Gauss-Jordan: pivots found on a narrow slab, bulk updates via GEMM."""
+def _rref_blocked(R: np.ndarray, p: int, nb: int = 16):
+    """Blocked Gauss-Jordan: pivots found on a narrow slab, bulk updates via GEMM.
+
+    The matrix is held in a float dtype and only the slab and the new pivot
+    rows are reduced mod p.  Each entry takes at most one update per slab,
+    of size at most k (p-1)^2 for k new pivots, so it stays below
+    rank (p-1)^2 + p, which the dtype holds exactly.  Primes too large for
+    float64 take the plain loop.
+    """
     rows, cols = R.shape
+    dt = _float_dtype(min(rows, cols) + 1, p)
+    if dt is None:
+        return _rref_naive(R, p)[:2]
+    F = R.astype(dt)
     pivots: list[int] = []
     r = 0
     c0 = 0
     while c0 < cols and r < rows:
         c1 = min(c0 + nb, cols)
-        slab_pivots, worig = _rref_track(R[r:, c0:c1].copy(), p)
+        S = F[:, c0:c1].astype(np.int64) % p
+        _, slab_pivots, worig = _rref_naive(S[r:].copy(), p)
         if slab_pivots:
             k = len(slab_pivots)
-            orig_rows = (worig + r).tolist()
-            pivcols = [c0 + c for c in slab_pivots]
-            P0 = R[orig_rows, :]
-            # the unique reduced basis of the chosen rows' span with identity
-            # on the pivot columns
-            Pfull = matmul(inv(P0[:, pivcols], p), P0, p)
-            mask = np.ones(rows, dtype=bool)
-            mask[orig_rows] = False
-            coef = R[mask][:, pivcols]
-            if np.any(coef):
-                R[mask] = (R[mask] - matmul(coef, Pfull, p)) % p
-            chosen = set(orig_rows)
-            others = [i for i in range(r, rows) if i not in chosen]
-            rest = R[others].copy() if others else None
-            R[r:r + k] = Pfull
-            if others:
-                R[r + k:] = rest
-            pivots.extend(pivcols)
+            chosen = worig + r
+            keep = np.ones(rows, dtype=bool)
+            keep[:r] = False
+            keep[chosen] = False
+            rest = np.flatnonzero(keep)
+            # the chosen rows span the slab rows from r on; their reduced
+            # form with identity on the slab pivots is the new pivot block
+            P0 = F[chosen, c0:].astype(np.int64) % p
+            P = _mul_reduced(inv(P0[:, slab_pivots], p), P0, p).astype(dt)
+            top = S[:r, slab_pivots].astype(dt)
+            bottom = S[rest][:, slab_pivots].astype(dt)
+            F[r + k:, c0:] = F[rest, c0:]
+            F[r:r + k, c0:] = P
+            F[:r, c0:] -= top @ P
+            F[r + k:, c0:] -= bottom @ P
+            pivots.extend(c0 + c for c in slab_pivots)
             r += k
         c0 = c1
-    return R[:r], pivots
+    return F[:r].astype(np.int64) % p, pivots
 
 
 def rref(a, p: int):
@@ -151,12 +152,12 @@ def rref(a, p: int):
     reduced to a standard basis column) and ``pivots`` lists the pivot column
     indices, so ``len(pivots)`` is the rank.
     """
-    R = asmod(a, p).copy()
+    R = asmod(a, p)
     if R.ndim != 2:
         raise ValueError("rref expects a matrix")
     rows, cols = R.shape
-    if rows <= 128 or cols <= 160:
-        return _rref_naive(R, p)
+    if rows <= 16 or cols <= 128:
+        return _rref_naive(R, p)[:2]
     return _rref_blocked(R, p)
 
 
@@ -169,22 +170,16 @@ def kernel(a, p: int) -> np.ndarray:
 
     The basis is in reduced echelon shape with respect to the free columns.
     """
-    a = asmod(a, p)
-    rows, cols = a.shape
     R, piv = rref(a, p)
-    free = [c for c in range(cols) if c not in piv]
-    if not free:
-        return np.zeros((0, cols), dtype=np.int64)
+    cols = R.shape[1]
+    is_free = np.ones(cols, dtype=bool)
+    is_free[piv] = False
+    free = np.flatnonzero(is_free)
     out = np.zeros((len(free), cols), dtype=np.int64)
-    for k, c in enumerate(free):
-        out[k, c] = 1
-        for i, pc in enumerate(piv):
-            out[k, pc] = (-int(R[i, c])) % p
+    out[np.arange(len(free)), free] = 1
+    if piv:
+        out[:, piv] = (-R[:, free].T) % p
     return out
-
-
-def left_kernel(a, p: int) -> np.ndarray:
-    return kernel(asmod(a, p).T, p)
 
 
 def solve(a, b, p: int) -> np.ndarray:
@@ -221,25 +216,6 @@ def inv(a, p: int) -> np.ndarray:
     return R[:, n:]
 
 
-def mat_solve(m, mode: str, p: int, rhs=None):
-    """Dispatcher over the dense solver toolbox.
-
-    mode is one of ``rref`` -> (R, pivots), ``kernel`` -> row basis,
-    ``rank`` -> int, ``solve`` -> particular solution for ``rhs``.
-    """
-    if mode == "rref":
-        return rref(m, p)
-    if mode == "kernel":
-        return kernel(m, p)
-    if mode == "rank":
-        return rank(m, p)
-    if mode == "solve":
-        if rhs is None:
-            raise ValueError("solve mode needs rhs")
-        return solve(m, rhs, p)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 class Echelon:
     """Growing reduced row echelon basis of a subspace of F_p^n.
 
@@ -265,7 +241,7 @@ class Echelon:
             w = w.reshape(1, -1)
         if self.dim:
             coef = w[:, self.pivots]
-            w = (w - matmul(coef, self.rows, self.p)) % self.p
+            w = (w - _mul_reduced(coef, self.rows, self.p)) % self.p
         return w[0] if single else w
 
     def add_rows(self, w: np.ndarray) -> np.ndarray:
@@ -281,7 +257,7 @@ class Echelon:
             # clear the new pivot columns from the old rows
             coef = self.rows[:, piv]
             if np.any(coef):
-                self.rows = (self.rows - matmul(coef, R, p)) % p
+                self.rows = (self.rows - _mul_reduced(coef, R, p)) % p
         self.rows = np.vstack([self.rows, R])
         self.pivots.extend(piv)
         order = np.argsort(self.pivots, kind="stable")
@@ -299,7 +275,7 @@ class Echelon:
         if single:
             w = w.reshape(1, -1)
         coef = w[:, self.pivots] if self.dim else np.zeros((w.shape[0], 0), dtype=np.int64)
-        rem = (w - matmul(coef, self.rows, self.p)) % self.p if self.dim else w
+        rem = (w - _mul_reduced(coef, self.rows, self.p)) % self.p if self.dim else w
         if np.any(rem):
             raise NoSolution("vector outside the spanned subspace")
         return coef[0] if single else coef

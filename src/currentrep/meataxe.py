@@ -18,8 +18,9 @@ import numpy as np
 
 from . import linalg
 from .algebra import get_context
-from .errors import Inconclusive, NotGraded, NotWeightModule, TooLarge
-from .modrep import ModuleRep
+from .errors import (AlgebraMismatch, BadCharacter, Inconclusive, InternalError,
+                     NoSolution, NotGraded, NotWeightModule, TooLarge)
+from .modrep import ModuleRep, exps_of_rank
 
 DEFAULT_WORD_BUDGET = 64
 
@@ -88,27 +89,26 @@ def invariant_subspace(M: ModuleRep, subalgebra_indices) -> np.ndarray:
 # random words and the Norton test
 
 
-class _WordSampler:
-    def __init__(self, actions, p, rng):
-        self.actions = actions
-        self.p = p
-        self.rng = rng
-        self.d = actions[0].shape[0]
+def _random_word(rng, nacts: int, p: int):
+    """Coefficients of a random word: one to three factors, each a vector of
+    nacts action coefficients followed by a scalar.  Draws the factor count
+    first, then one coefficient vector per factor."""
+    nfac = int(rng.integers(1, 4))
+    return [rng.integers(0, p, size=nacts + 1) for _ in range(nfac)]
 
-    def combo(self):
-        c = self.rng.integers(0, self.p, size=len(self.actions) + 1)
-        out = int(c[-1]) * np.eye(self.d, dtype=np.int64) % self.p
-        for coeff, A in zip(c, self.actions):
+
+def _eval_word(word, actions, p: int) -> np.ndarray:
+    """Product over the factors of Σ c_i A_i + c_scalar I."""
+    eye = np.eye(actions[0].shape[0], dtype=np.int64)
+    out = None
+    for c in word:
+        f = int(c[-1]) * eye
+        for coeff, A in zip(c, actions):
             if coeff:
-                out = (out + int(coeff) * A) % self.p
-        return out
-
-    def word(self):
-        nfac = int(self.rng.integers(1, 4))
-        w = self.combo()
-        for _ in range(nfac - 1):
-            w = linalg.matmul(w, self.combo(), self.p)
-        return w
+                f += int(coeff) * A
+        f %= p
+        out = f if out is None else linalg.matmul(out, f, p)
+    return out
 
 
 def _shift_kernels(w: np.ndarray, p: int):
@@ -153,17 +153,35 @@ def _quadratic_kernels(w: np.ndarray, p: int):
     return out
 
 
+def _norton_transpose(transposed, f: np.ndarray, p: int):
+    """Transpose side of the Norton test for a word polynomial f(w).
+
+    Spins a kernel vector of f(w)^T under the transposed actions.  None when
+    it spins to everything: with a kernel vector of f(w) that spins to
+    everything as well, the module is certified irreducible.  Otherwise the
+    annihilator of the transposed submodule, an invariant subspace.
+    """
+    d = f.shape[0]
+    kerT = linalg.kernel(f.T, p)
+    subT = spin(transposed, kerT[0], p)
+    if subT.dim == d:
+        return None
+    ech = linalg.Echelon(d, p)
+    ech.add_rows(linalg.kernel(subT.rows, p))
+    return ech
+
+
 def find_invariant_subspace(actions, p: int, rng, word_budget=16,
                             spin_tries=3):
     """A proper invariant subspace (echelon) or None when certified irreducible."""
     d = actions[0].shape[0]
     if d <= 1:
         return None
-    sampler = _WordSampler(actions, p, rng)
+    eye = np.eye(d, dtype=np.int64)
     transposed = None
     best = None
     for _ in range(word_budget):
-        w = sampler.word()
+        w = _eval_word(_random_word(rng, len(actions), p), actions, p)
         for k, c, ker in _shift_kernels(w, p):
             all_full = True
             for v in ker[:spin_tries]:
@@ -175,18 +193,11 @@ def find_invariant_subspace(actions, p: int, rng, word_budget=16,
                     if best is None or abs(sub.dim - d / 2) < abs(best.dim - d / 2):
                         best = sub
             if k == 1 and all_full and best is None:
-                # Norton certificate: check the transpose side
                 if transposed is None:
-                    transposed = [A.T.copy() for A in actions]
-                wc = (w - c * np.eye(d, dtype=np.int64)) % p
-                kerT = linalg.kernel(wc.T, p)
-                subT = spin(transposed, kerT[0], p)
-                if subT.dim == d:
+                    transposed = [A.T for A in actions]
+                ech = _norton_transpose(transposed, (w - c * eye) % p, p)
+                if ech is None:
                     return None  # irreducible, certified
-                # orthogonal complement of a proper transpose-invariant subspace
-                comp = linalg.kernel(subT.rows, p)
-                ech = linalg.Echelon(d, p)
-                ech.add_rows(comp)
                 if 0 < ech.dim < d:
                     return ech
         if best is None:
@@ -200,18 +211,11 @@ def find_invariant_subspace(actions, p: int, rng, word_budget=16,
                         best = sub
                     continue
                 if transposed is None:
-                    transposed = [A.T.copy() for A in actions]
-                w2 = linalg.matmul(w, w, p)
-                qT = (w2 + a * w + b * np.eye(d, dtype=np.int64)).T % p
-                kerT = linalg.kernel(qT, p)
-                if kerT.shape[0] != 2:
-                    continue
-                subT = spin(transposed, kerT[0], p)
-                if subT.dim == d:
+                    transposed = [A.T for A in actions]
+                q = (linalg.matmul(w, w, p) + a * w + b * eye) % p
+                ech = _norton_transpose(transposed, q, p)
+                if ech is None:
                     return None  # irreducible, certified
-                comp = linalg.kernel(subT.rows, p)
-                ech = linalg.Echelon(d, p)
-                ech.add_rows(comp)
                 if 0 < ech.dim < d:
                     return ech
         if best is not None:
@@ -227,6 +231,19 @@ def find_invariant_subspace(actions, p: int, rng, word_budget=16,
         if 0 < sub.dim < d:
             return sub
     raise Inconclusive("no certificate or splitting found within the word budget")
+
+
+def _split_with_retries(actions, p: int, key: tuple, word_budget,
+                        max_retries: int = 4):
+    """find_invariant_subspace under rngs seeded (*key, attempt), retried
+    after Inconclusive; returns (subspace or None, failed attempts)."""
+    for attempt in range(max_retries):
+        rng = np.random.default_rng((*key, attempt))
+        try:
+            return find_invariant_subspace(actions, p, rng, word_budget), attempt
+        except Inconclusive:
+            pass
+    raise Inconclusive(f"node of dim {actions[0].shape[0]} resisted {max_retries} retries")
 
 
 def is_irreducible(M: ModuleRep, seed: int = 0, word_budget=DEFAULT_WORD_BUDGET) -> bool:
@@ -297,12 +314,6 @@ def graded_character(M: ModuleRep) -> CharacterTable:
     return CharacterTable(dict(Counter(M.grading_tags)), "graded")
 
 
-def weight_tags_character(M: ModuleRep) -> CharacterTable:
-    if M.weight_tags is None:
-        raise NotWeightModule("module carries no weight tags")
-    return CharacterTable(dict(Counter(M.weight_tags)), "weight")
-
-
 # ---------------------------------------------------------------------------
 # isomorphism testing (standard basis method)
 
@@ -322,48 +333,61 @@ def _central_scalars(M: ModuleRep):
     return tuple(out)
 
 
-def _standard_basis(actions, v, p):
-    """Spin one vector in deterministic order, recording the schedule."""
+def _standard_basis(actions, v, p, schedule=None):
+    """Spin one vector in deterministic order; (basis rows, schedule).
+
+    The schedule lists the (basis row, generator slot) steps whose image was
+    new.  Given a schedule to follow, returns None at the first basis row
+    whose new images differ from the schedule's.
+    """
     d = actions[0].shape[0]
     ech = linalg.Echelon(d, p)
     basis = [np.asarray(v, dtype=np.int64) % p]
     ech.add_rows(basis[0])
-    schedule = []
+    want = None
+    if schedule is not None:
+        want = {}
+        for i, gslot in schedule:
+            want.setdefault(i, []).append(gslot)
+    steps = []
     i = 0
-    while i < len(basis):
-        for gslot, A in enumerate(actions):
-            w = linalg.matvec(A, basis[i], p)
-            if not ech.contains(w):
-                basis.append(w)
-                ech.add_rows(w)
-                schedule.append((i, gslot))
+    # once the basis spans everything, no later image is new
+    while i < len(basis) and ech.dim < d:
+        imgs = np.stack([linalg.matvec(A, basis[i], p) for A in actions])
+        res = ech.residual(imgs)
+        # an image is new when its residual is independent of the residuals
+        # of the earlier images: the pivot columns of the residuals as columns
+        new = linalg.rref(res.T, p)[1]
+        if want is not None and new != want.get(i, []):
+            return None
+        for gslot in new:
+            basis.append(imgs[gslot])
+            steps.append((i, gslot))
+        if new:
+            ech.add_rows(res[new])
         i += 1
-    return np.stack(basis), schedule
-
-
-def _replay_basis(actions, v, schedule, p, dim_expected):
-    """Re-run a recorded schedule; None if the independence pattern differs."""
-    d = actions[0].shape[0]
-    ech = linalg.Echelon(d, p)
-    basis = [np.asarray(v, dtype=np.int64) % p]
-    ech.add_rows(basis[0])
-    want = {(i, g) for i, g in schedule}
-    i = 0
-    # replay in the same deterministic sweep as _standard_basis
-    while i < len(basis):
-        for gslot, A in enumerate(actions):
-            w = linalg.matvec(A, basis[i], p)
-            new = not ech.contains(w)
-            should = (i, gslot) in want
-            if new != should:
-                return None
-            if new:
-                basis.append(w)
-                ech.add_rows(w)
-        i += 1
-    if len(basis) != dim_expected:
+    if want is not None and len(steps) != len(schedule):
         return None
-    return np.stack(basis)
+    return np.stack(basis), steps
+
+
+def _intertwines(theta, actsM, actsN, p) -> bool:
+    """θ ρ_M(g) = ρ_N(g) θ for every generator g."""
+    return all(np.array_equal(linalg.matmul(theta, a, p), linalg.matmul(b, theta, p))
+               for a, b in zip(actsM, actsN))
+
+
+def _match_standard_basis(sbM, schedule, seeds, actsM, actsN, p):
+    """(True, θ) for the first seed vector of N whose standard basis follows
+    M's schedule and yields an intertwiner θ, else (False, None)."""
+    for u in seeds:
+        replay = _standard_basis(actsN, u, p, schedule)
+        if replay is None:
+            continue
+        theta = linalg.matmul(replay[0].T, linalg.inv(sbM.T, p), p)
+        if _intertwines(theta, actsM, actsN, p):
+            return True, theta
+    return False, None
 
 
 def are_isomorphic(M: ModuleRep, N: ModuleRep, seed: int = 0,
@@ -375,10 +399,8 @@ def are_isomorphic(M: ModuleRep, N: ModuleRep, seed: int = 0,
     word is found within the budget.
     """
     if M.alg != N.alg:
-        from .errors import AlgebraMismatch
         raise AlgebraMismatch("modules live over different algebras")
     if M.chi != N.chi:
-        from .errors import BadCharacter
         raise BadCharacter("isomorphism testing requires equal characters")
     if M.dim != N.dim:
         return False, None
@@ -395,20 +417,8 @@ def are_isomorphic(M: ModuleRep, N: ModuleRep, seed: int = 0,
     d = M.dim
     eye = np.eye(d, dtype=np.int64)
     for _ in range(word_budget):
-        nfac = int(rng.integers(1, 4))
-        combos = [rng.integers(0, p, size=len(actsM) + 1) for _ in range(nfac)]
-
-        def build(acts):
-            w = None
-            for c in combos:
-                f = int(c[-1]) * eye % p
-                for coeff, A in zip(c, acts):
-                    if coeff:
-                        f = (f + int(coeff) * A) % p
-                w = f if w is None else linalg.matmul(w, f, p)
-            return w
-
-        wM = build(actsM)
+        word = _random_word(rng, len(actsM), p)
+        wM = _eval_word(word, actsM, p)
         wN = None
         for k, c, kerM in _shift_kernels(wM, p):
             if k != 1:
@@ -417,17 +427,11 @@ def are_isomorphic(M: ModuleRep, N: ModuleRep, seed: int = 0,
             if sbM.shape[0] != d:
                 continue  # kernel vector does not generate; try another shift
             if wN is None:
-                wN = build(actsN)
+                wN = _eval_word(word, actsN, p)
             kerN = linalg.kernel((wN - c * eye) % p, p)
             if kerN.shape[0] != 1:
                 return False, None
-            sbN = _replay_basis(actsN, kerN[0], schedule, p, d)
-            if sbN is None:
-                return False, None
-            theta = linalg.matmul(sbN.T, linalg.inv(sbM.T, p), p)
-            ok = all(np.array_equal(linalg.matmul(theta, a, p), linalg.matmul(b, theta, p))
-                     for a, b in zip(actsM, actsN))
-            return (True, theta) if ok else (False, None)
+            return _match_standard_basis(sbM, schedule, kerN, actsM, actsN, p)
         # quadratic-extension fallback: a two-dimensional irreducible kernel;
         # an isomorphism must map it to its counterpart, so trying every line
         # of the target kernel is conclusive when the seed generates
@@ -436,21 +440,13 @@ def are_isomorphic(M: ModuleRep, N: ModuleRep, seed: int = 0,
             if sbM.shape[0] != d:
                 continue
             if wN is None:
-                wN = build(actsN)
+                wN = _eval_word(word, actsN, p)
             wN2 = linalg.matmul(wN, wN, p)
             kerN = linalg.kernel((wN2 + a * wN + b * eye) % p, p)
             if kerN.shape[0] != 2:
                 return False, None
             lines = [kerN[0]] + [(kerN[1] + cc * kerN[0]) % p for cc in range(p)]
-            for u in lines:
-                sbN = _replay_basis(actsN, u, schedule, p, d)
-                if sbN is None:
-                    continue
-                theta = linalg.matmul(sbN.T, linalg.inv(sbM.T, p), p)
-                if all(np.array_equal(linalg.matmul(theta, x, p), linalg.matmul(y, theta, p))
-                       for x, y in zip(actsM, actsN)):
-                    return True, theta
-            return False, None
+            return _match_standard_basis(sbM, schedule, lines, actsM, actsN, p)
     raise Inconclusive("no nullity-one generating word found")
 
 
@@ -539,16 +535,8 @@ def chop(M: ModuleRep, seed: int = 0, limit: int = 10 ** 6,
         d = acts[0].shape[0]
         if d == 0:
             continue
-        sub = None
-        for attempt in range(max_retries):
-            rng = np.random.default_rng((seed, node, attempt))
-            try:
-                sub = find_invariant_subspace(acts, p, rng, word_budget)
-                break
-            except Inconclusive:
-                retries += 1
-        else:
-            raise Inconclusive(f"node of dim {d} resisted {max_retries} retries")
+        sub, failed = _split_with_retries(acts, p, (seed, node), word_budget, max_retries)
+        retries += failed
         if sub is None:
             leaves.append(acts)
         else:
@@ -561,7 +549,8 @@ def chop(M: ModuleRep, seed: int = 0, limit: int = 10 ** 6,
         counts[catalog.match(rep)] += 1
     dims = {sid: catalog.get(sid).dim for sid in counts}
     total = sum(dims[s] * m for s, m in counts.items())
-    assert total == M.dim, f"composition series dimension mismatch: {total} != {M.dim}"
+    if total != M.dim:
+        raise InternalError(f"composition series dimension mismatch: {total} != {M.dim}")
     return CompositionSeries(sorted(counts.items()), dims, M.dim, seed, retries)
 
 
@@ -579,16 +568,7 @@ def find_simple_submodule(M: ModuleRep, seed: int = 0,
     basis.add_rows(np.eye(d, dtype=np.int64))
     level = 0
     while True:
-        sub = None
-        for attempt in range(4):
-            rng = np.random.default_rng((seed, 0x50C, level, attempt))
-            try:
-                sub = find_invariant_subspace(acts, p, rng, word_budget)
-                break
-            except Inconclusive:
-                continue
-        else:
-            raise Inconclusive("socle descent stalled")
+        sub, _ = _split_with_retries(acts, p, (seed, 0x50C, level), word_budget)
         if sub is None:
             return basis
         acts = restrict_actions(acts, sub, p)
@@ -725,7 +705,6 @@ def verma_intertwiner(Z: ModuleRep, N: ModuleRep, lam):
     tried, so a None return certifies that no isomorphism exists whenever
     that space is within the enumeration cap.
     """
-    from .modrep import exps_of_rank
     if Z.dim != N.dim or Z.alg != N.alg or Z.chi != N.chi:
         return None
     ctx = get_context(Z.alg)
@@ -751,9 +730,8 @@ def verma_intertwiner(Z: ModuleRep, N: ModuleRep, lam):
             cols[:, rank_idx] = linalg.matvec(comp_actions[i], cols[:, prev], p)
         try:
             linalg.inv(cols, p)
-        except Exception:
+        except NoSolution:
             continue
-        if all(np.array_equal(linalg.matmul(cols, a, p), linalg.matmul(b, cols, p))
-               for a, b in zip(actsZ, actsN)):
+        if _intertwines(cols, actsZ, actsN, p):
             return cols
     return None

@@ -17,7 +17,7 @@ import numpy as np
 from . import linalg
 from .algebra import AlgebraDescriptor, get_context
 from .errors import (BadCharacter, BadTwist, BadWeight, InternalError,
-                     NeedsFieldExtension, TooLarge)
+                     NeedsFieldExtension, NoSolution, TooLarge)
 from .pchar import PChar
 
 DEFAULT_LIMIT = 2000
@@ -110,7 +110,7 @@ def enumerate_lambda(chi: PChar):
         rhs[row] = (int(cc[idx]) + acc) % p
     try:
         part = linalg.solve(A, rhs, p)
-    except Exception:
+    except NoSolution:
         raise NeedsFieldExtension("degree-0 weight equations have no F_p solution")
     ker = linalg.kernel(A, p)
     out = []
@@ -133,26 +133,37 @@ def enumerate_lambda(chi: PChar):
     return out
 
 
+def _stored(a, p: int) -> np.ndarray:
+    """a mod p in the smallest unsigned dtype that holds p - 1.
+
+    The builders pass reduced matrices; checking the range costs a fraction
+    of a full remainder, which only runs on entries outside [0, p).
+    """
+    a = np.asarray(a, dtype=np.int64)
+    if a.size and (a.min() < 0 or a.max() >= p):
+        a = a % p
+    return a.astype(np.min_scalar_type(p - 1))
+
+
 class ModuleRep:
     """Finite-dimensional U_χ-module for the subalgebra spanned by ``gens``.
 
     ``actions[i]`` is the matrix of the basis element ``gens[i]`` acting on
-    column vectors.  Optional per-basis-vector tags carry h*-weights, lattice
+    column vectors, stored reduced mod p in the smallest unsigned dtype that
+    holds p - 1.  Optional per-basis-vector tags carry h*-weights, lattice
     gradings and the torus t-degree filtration used by projective covers.
     """
 
     def __init__(self, alg, chi, gens, actions, weight_tags=None,
-                 grading_tags=None, tdeg_tags=None, cyclic_index=None,
-                 basis_labels=None):
+                 grading_tags=None, tdeg_tags=None, basis_labels=None):
         self.alg = alg
         self.chi = chi
         self.gens = tuple(gens)
-        self.actions = [np.asarray(a, dtype=np.int8) for a in actions]
+        self.actions = [_stored(a, alg.p) for a in actions]
         self.dim = self.actions[0].shape[0] if self.actions else 0
         self.weight_tags = weight_tags
         self.grading_tags = grading_tags
         self.tdeg_tags = tdeg_tags
-        self.cyclic_index = cyclic_index
         self.basis_labels = basis_labels
 
     def action(self, i: int) -> np.ndarray:
@@ -179,33 +190,22 @@ class ModuleRep:
             gr = [ctx.roots.canonical_weight(tuple(-v for v in t)) for t in self.grading_tags]
         return ModuleRep(self.alg, self.chi, self.gens, acts, weight_tags=wt, grading_tags=gr)
 
-    def to_json_dict(self, compact=False) -> dict:
-        def encode(mat):
-            if compact:
-                return "".join(str(int(v)) for v in mat.ravel())
-            return mat.ravel().tolist()
+    def to_json_dict(self) -> dict:
         return {
             "chi": self.chi.to_json_dict(),
             "dim": self.dim,
             "gens": list(self.gens),
             "basis_labels": self.basis_labels,
-            "actions": [encode(self.action(i)) for i in range(len(self.gens))],
+            "actions": [self.action(i).ravel().tolist() for i in range(len(self.gens))],
             "weights": [list(t) for t in self.weight_tags] if self.weight_tags else None,
             "grading": [list(t) for t in self.grading_tags] if self.grading_tags else None,
-            "encoding": "digits" if compact else "ints",
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ModuleRep":
         chi = PChar.from_json_dict(d["chi"])
         dim = d["dim"]
-        acts = []
-        for enc in d["actions"]:
-            if isinstance(enc, str):
-                arr = np.array([int(c) for c in enc], dtype=np.int64)
-            else:
-                arr = np.array(enc, dtype=np.int64)
-            acts.append(arr.reshape(dim, dim))
+        acts = [np.array(enc, dtype=np.int64).reshape(dim, dim) for enc in d["actions"]]
         wt = [tuple(t) for t in d["weights"]] if d.get("weights") else None
         gr = [tuple(t) for t in d["grading"]] if d.get("grading") else None
         return cls(chi.alg, chi, d["gens"], acts, weight_tags=wt, grading_tags=gr,
@@ -444,7 +444,7 @@ def build_induced(chi: PChar, comp_indices, base: BaseModule, limit: int = DEFAU
                 labels.append(f"{mono} ⊗ {bl}")
     return ModuleRep(alg, chi, gens, actions, weight_tags=weight_tags,
                      grading_tags=grading_tags, tdeg_tags=tdeg_tags,
-                     cyclic_index=None, basis_labels=labels)
+                     basis_labels=labels)
 
 
 def _verma_base(chi: PChar, lam: LambdaWeight) -> BaseModule:
@@ -479,9 +479,7 @@ def build_baby_verma(chi: PChar, lam: LambdaWeight, limit: int = DEFAULT_LIMIT,
         if ctx.roots.d_map(gam) != tuple(lam.degree_zero):
             raise BadWeight("gamma does not lift the weight")
         base.grading_tags = [gam]
-    M = build_induced(chi, ctx.nminus_indices, base, limit)
-    M.cyclic_index = 0
-    return M
+    return build_induced(chi, ctx.nminus_indices, base, limit)
 
 
 def build_dual_verma(lam: LambdaWeight, alg: AlgebraDescriptor, limit: int = DEFAULT_LIMIT) -> ModuleRep:
@@ -503,17 +501,18 @@ def build_dual_verma(lam: LambdaWeight, alg: AlgebraDescriptor, limit: int = DEF
     return out
 
 
-def build_torus_projective(lam: LambdaWeight, alg: AlgebraDescriptor) -> ModuleRep:
-    """Projective cover of k_λ over the truncated torus, dimension p^{m r}."""
+def build_torus_projective(chi: PChar, lam: LambdaWeight) -> ModuleRep:
+    """Induction of k_λ from the degree-0 torus to the truncated torus with
+    the character χ, dimension p^{m r}; at χ = 0 this is the projective
+    cover of k_λ over the truncated torus."""
+    alg = chi.alg
     ctx = get_context(alg)
-    chi = PChar.zero(alg)
     torus = ctx.torus_indices
     deg0 = [i for i in torus if ctx.meta[i].degree == 0]
     higher = [i for i in torus if ctx.meta[i].degree >= 1]
     values = {idx: lam.value(0, ctx.meta[idx].pos[0]) for idx in deg0}
     base = one_dim_base(deg0, values)
     base.weight_tags = [lam.degree_zero]
-    base.tdeg_tags = [0]
     base.labels = ["1_" + lam.label()]
     M = build_induced(chi, higher, base, limit=10 ** 9)
     # t-degree of each monomial in the h t^i generators
@@ -524,16 +523,14 @@ def build_torus_projective(lam: LambdaWeight, alg: AlgebraDescriptor) -> ModuleR
         a = exps_of_rank(t, len(higher), p)
         tdeg.append(int(sum(ai * d for ai, d in zip(a, degs))))
     M.tdeg_tags = tdeg
-    M.cyclic_index = 0
     return M
 
 
-def build_Zproj(lam: LambdaWeight, alg: AlgebraDescriptor, limit: int = DEFAULT_LIMIT) -> ModuleRep:
+def build_Zproj(chi: PChar, lam: LambdaWeight, limit: int = DEFAULT_LIMIT) -> ModuleRep:
     """Borel induction of the torus projective cover; carries the torus
     t-degree filtration tags used to witness its baby-Verma filtration."""
-    ctx = get_context(alg)
-    chi = PChar.zero(alg)
-    Q = build_torus_projective(lam, alg)
+    ctx = get_context(chi.alg)
+    Q = build_torus_projective(chi, lam)
     slots = {g: i for i, g in enumerate(Q.gens)}
     actions = {g: Q.action(slots[g]) for g in Q.gens}
     zero = np.zeros((Q.dim, Q.dim), dtype=np.int64)
@@ -541,8 +538,7 @@ def build_Zproj(lam: LambdaWeight, alg: AlgebraDescriptor, limit: int = DEFAULT_
         actions[idx] = zero
     base = BaseModule(tuple(sorted(set(Q.gens) | set(ctx.nplus_indices))), actions, Q.dim,
                       weight_tags=Q.weight_tags, tdeg_tags=Q.tdeg_tags, labels=Q.basis_labels)
-    M = build_induced(chi, ctx.nminus_indices, base, limit)
-    return M
+    return build_induced(chi, ctx.nminus_indices, base, limit)
 
 
 def inflate(M: ModuleRep, target_m: int) -> ModuleRep:
@@ -576,8 +572,7 @@ def inflate(M: ModuleRep, target_m: int) -> ModuleRep:
     from .algebra import CurrentElement
     chi_big = PChar(CurrentElement(tgt, coeffs))
     return ModuleRep(tgt, chi_big, gens, actions, weight_tags=M.weight_tags,
-                     grading_tags=M.grading_tags, cyclic_index=M.cyclic_index,
-                     basis_labels=M.basis_labels)
+                     grading_tags=M.grading_tags, basis_labels=M.basis_labels)
 
 
 def solve_twist_weight(eta: PChar) -> np.ndarray:
@@ -625,7 +620,7 @@ def twist_module(M: ModuleRep, eta: PChar) -> ModuleRep:
         weight_tags = [tuple((w + s) % p for w, s in zip(tag, shift)) for tag in M.weight_tags]
     return ModuleRep(alg, chi_new, M.gens, actions, weight_tags=weight_tags,
                      grading_tags=M.grading_tags, tdeg_tags=M.tdeg_tags,
-                     cyclic_index=M.cyclic_index, basis_labels=M.basis_labels)
+                     basis_labels=M.basis_labels)
 
 
 def build_regular_module(chi: PChar, limit: int = DEFAULT_LIMIT) -> ModuleRep:

@@ -15,7 +15,8 @@ import numpy as np
 from . import linalg
 from .algebra import (AlgebraDescriptor, CurrentElement, classify_element,
                       centralizer_dim, get_context, jordan_decompose, kappa_m)
-from .errors import InvalidDescriptor, NotNilpotent, UnsupportedTruncation
+from .errors import (InternalError, InvalidDescriptor, NotNilpotent,
+                     UnsupportedTruncation)
 
 
 class PChar:
@@ -93,10 +94,6 @@ def pchar_from_element(c: CurrentElement) -> PChar:
     return PChar(c)
 
 
-def pchar_to_element(chi: PChar) -> CurrentElement:
-    return chi.dual
-
-
 def support_degree(chi: PChar):
     """(max support degree k, homogeneous degree or None).
 
@@ -128,7 +125,8 @@ def stabilizer_dim(chi: PChar) -> int:
     ctx = get_context(chi.alg)
     d = ctx.dim - linalg.rank(coadjoint_matrix(chi), chi.alg.p)
     dc = centralizer_dim(chi.dual)
-    assert d == dc, "coadjoint and adjoint stabiliser dimensions disagree"
+    if d != dc:
+        raise InternalError("coadjoint and adjoint stabiliser dimensions disagree")
     return d
 
 
@@ -221,7 +219,8 @@ def standard_levi_form(e: CurrentElement) -> LeviData:
     for a, b in blocks:
         for i in range(a, b - 1):
             expected[i, i + 1] = 1
-    assert np.array_equal(J, expected), "conjugation did not reach the block Jordan form"
+    if not np.array_equal(J, expected):
+        raise InternalError("conjugation did not reach the block Jordan form")
     boundaries = set(np.cumsum(partition)[:-1].tolist())
     simple_subset = tuple(i for i in range(1, n) if i not in boundaries)
     z_basis = _levi_centre_basis(alg, blocks)

@@ -45,20 +45,36 @@ def _jsonable(v):
 
 @dataclass
 class SuiteReport:
+    """Checks and skips of one suite run.
+
+    Each check's ``millis`` is the time since the previous check or skip was
+    recorded (for the first one, since the report was created), so the
+    check times add up to the suite time.
+    """
+
     suite: str
     config: dict
     checks: list = field(default_factory=list)
     skipped: list = field(default_factory=list)
+    _mark: float = field(default=0.0, init=False, repr=False, compare=False)
 
-    def add(self, claim, paper_ref, params, formula_value, oracle_value, seed,
-            started=None) -> Check:
-        millis = int((time.monotonic() - started) * 1000) if started else 0
+    def __post_init__(self):
+        self._mark = time.monotonic()
+
+    def _lap(self) -> int:
+        now = time.monotonic()
+        millis = int((now - self._mark) * 1000)
+        self._mark = now
+        return millis
+
+    def add(self, claim, paper_ref, params, formula_value, oracle_value, seed) -> Check:
         chk = Check(claim, paper_ref, params, formula_value, oracle_value,
-                    _values_match(formula_value, oracle_value), seed, millis)
+                    _values_match(formula_value, oracle_value), seed, self._lap())
         self.checks.append(chk)
         return chk
 
     def skip(self, claim, reason):
+        self._lap()
         self.skipped.append({"claim": claim, "reason": reason})
 
     @property

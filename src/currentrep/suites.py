@@ -8,7 +8,6 @@ certified, so a report line is self-contained.
 from __future__ import annotations
 
 import os
-import time
 from collections import Counter
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ from .algebra import (AlgebraDescriptor, CurrentElement, bracket,
                       centralizer_dim, classify_element, get_context,
                       is_nilpotent, is_regular, jordan_decompose, p_map,
                       random_element)
-from .errors import TooLarge
+from .errors import InternalError, TooLarge
 from .formulas import (blocks, cartan_formula, classify_simples_homogeneous,
                        kostant_table, kw_scan, l_constants, pm_shift_sum,
                        semisimple_character_audit, verma_mult_formula)
@@ -81,7 +80,6 @@ def suite_structure(cfg: SuiteConfig) -> SuiteReport:
     alg = cfg.descriptor()
     ctx = get_context(alg)
     rep = SuiteReport("structure", cfg.as_dict())
-    t0 = time.monotonic()
     bad_jacobi = 0
     bad_anti = 0
     for i in range(cfg.samples):
@@ -93,11 +91,9 @@ def suite_structure(cfg: SuiteConfig) -> SuiteReport:
         if not jac.is_zero():
             bad_jacobi += 1
     rep.add("bracket is anticommutative on sampled pairs",
-            "g ⊗ k[t]/(t^{m+1})", {"samples": cfg.samples}, 0, bad_anti, cfg.seed, t0)
+            "g ⊗ k[t]/(t^{m+1})", {"samples": cfg.samples}, 0, bad_anti, cfg.seed)
     rep.add("Jacobi identity holds on sampled triples",
-            "g ⊗ k[t]/(t^{m+1})", {"samples": cfg.samples}, 0, bad_jacobi, cfg.seed, t0)
-
-    t0 = time.monotonic()
+            "g ⊗ k[t]/(t^{m+1})", {"samples": cfg.samples}, 0, bad_jacobi, cfg.seed)
     bad_semilinear = 0
     bad_graded = 0
     for i in range(cfg.samples):
@@ -115,11 +111,9 @@ def suite_structure(cfg: SuiteConfig) -> SuiteReport:
         if not (p_map(xh) - target).is_zero():
             bad_graded += 1
     rep.add("p-operation is p-semilinear in scalars",
-            "x ↦ x^p - x^{[p]}", {"samples": cfg.samples}, 0, bad_semilinear, cfg.seed, t0)
+            "x ↦ x^p - x^{[p]}", {"samples": cfg.samples}, 0, bad_semilinear, cfg.seed)
     rep.add("p-operation respects the graded rule on homogeneous elements",
-            "xt^i = x^{[p]}t^{pi}", {"samples": cfg.samples}, 0, bad_graded, cfg.seed, t0)
-
-    t0 = time.monotonic()
+            "xt^i = x^{[p]}t^{pi}", {"samples": cfg.samples}, 0, bad_graded, cfg.seed)
     bad_class = 0
     for i in range(cfg.samples):
         rng = np.random.default_rng((cfg.seed, 103, i))
@@ -130,9 +124,7 @@ def suite_structure(cfg: SuiteConfig) -> SuiteReport:
         if lhs != rhs:
             bad_class += 1
     rep.add("element is nilpotent iff its degree-0 part is nilpotent",
-            "x_0 ∈ N(g) is nilpotent", {"samples": cfg.samples}, 0, bad_class, cfg.seed, t0)
-
-    t0 = time.monotonic()
+            "x_0 ∈ N(g) is nilpotent", {"samples": cfg.samples}, 0, bad_class, cfg.seed)
     bad_jordan = 0
     for i in range(min(cfg.samples, 60)):
         rng = np.random.default_rng((cfg.seed, 104, i))
@@ -145,14 +137,10 @@ def suite_structure(cfg: SuiteConfig) -> SuiteReport:
             bad_jordan += 1
     rep.add("Jordan decomposition: commuting semisimple plus nilpotent",
             "commuting semisimple and nilpotent parts",
-            {"samples": min(cfg.samples, 60)}, 0, bad_jordan, cfg.seed, t0)
-
-    t0 = time.monotonic()
+            {"samples": min(cfg.samples, 60)}, 0, bad_jordan, cfg.seed)
     gram_rank = linalg.rank(ctx.gram_matrix, alg.p)
     rep.add("invariant-form Gram matrix has full rank",
-            "δ_{i+j, m}κ(x, y)", {}, ctx.dim, gram_rank, cfg.seed, t0)
-
-    t0 = time.monotonic()
+            "δ_{i+j, m}κ(x, y)", {}, ctx.dim, gram_rank, cfg.seed)
     bad_assoc = 0
     for i in range(min(cfg.samples, 50)):
         rng = np.random.default_rng((cfg.seed, 105, i))
@@ -161,7 +149,7 @@ def suite_structure(cfg: SuiteConfig) -> SuiteReport:
         if kappa_m(bracket(x, y), z) != kappa_m(x, bracket(y, z)):
             bad_assoc += 1
     rep.add("invariant form is associative",
-            "δ_{i+j, m}κ(x, y)", {"samples": min(cfg.samples, 50)}, 0, bad_assoc, cfg.seed, t0)
+            "δ_{i+j, m}κ(x, y)", {"samples": min(cfg.samples, 50)}, 0, bad_assoc, cfg.seed)
     return rep
 
 
@@ -172,13 +160,10 @@ def suite_structure(cfg: SuiteConfig) -> SuiteReport:
 def suite_index(cfg: SuiteConfig) -> SuiteReport:
     alg = cfg.descriptor()
     rep = SuiteReport("index", cfg.as_dict())
-    t0 = time.monotonic()
     best, _wit = index_estimate(alg, cfg.samples, cfg.seed)
     rep.add("minimal sampled coadjoint stabiliser dimension",
             "ind(g_m) = (m+1) ind(g)",
-            {"samples": cfg.samples}, (alg.m + 1) * alg.rank, best, cfg.seed, t0)
-
-    t0 = time.monotonic()
+            {"samples": cfg.samples}, (alg.m + 1) * alg.rank, best, cfg.seed)
     counterexamples = 0
     tried = 0
     i = 0
@@ -194,9 +179,7 @@ def suite_index(cfg: SuiteConfig) -> SuiteReport:
             counterexamples += 1
     rep.add("regularity propagates from the degree-0 part",
             "x_0 is a regular element",
-            {"tested": tried}, 0, counterexamples, cfg.seed, t0)
-
-    t0 = time.monotonic()
+            {"tested": tried}, 0, counterexamples, cfg.seed)
     bad_semisimple_centralizer = 0
     for i in range(30):
         rng = np.random.default_rng((cfg.seed, 107, i))
@@ -210,14 +193,13 @@ def suite_index(cfg: SuiteConfig) -> SuiteReport:
             bad_semisimple_centralizer += 1
     rep.add("centraliser of a degree-0 toral element is the truncated centraliser",
             "(g_m)^{x_0} = (g^{x_0})_m", {"samples": 30}, 0,
-            bad_semisimple_centralizer, cfg.seed, t0)
+            bad_semisimple_centralizer, cfg.seed)
     return rep
 
 
 def suite_reduction(cfg: SuiteConfig) -> SuiteReport:
     alg = cfg.descriptor()
     rep = SuiteReport("reduction", cfg.as_dict())
-    t0 = time.monotonic()
     failures = 0
     tested = 0
     for i in range(100):
@@ -238,9 +220,7 @@ def suite_reduction(cfg: SuiteConfig) -> SuiteReport:
             failures += 1
     rep.add("degree-reduction preserves the orbit defect",
             "dim g_m - dim g_m^χ = dim g_k - dim g_k^ψ",
-            {"tested": tested}, 0, failures, cfg.seed, t0)
-
-    t0 = time.monotonic()
+            {"tested": tested}, 0, failures, cfg.seed)
     bad_support = 0
     for i in range(50):
         rng = np.random.default_rng((cfg.seed, 109, i))
@@ -253,7 +233,7 @@ def suite_reduction(cfg: SuiteConfig) -> SuiteReport:
         if hom != alg.m - d or k != alg.m - d:
             bad_support += 1
     rep.add("duality exchanges homogeneity degrees i and m-i",
-            "with support in degree m-i", {"samples": 50}, 0, bad_support, cfg.seed, t0)
+            "with support in degree m-i", {"samples": 50}, 0, bad_support, cfg.seed)
     return rep
 
 
@@ -277,7 +257,6 @@ def suite_verma(cfg: SuiteConfig) -> SuiteReport:
     alg = cfg.descriptor()
     rep = SuiteReport("verma", cfg.as_dict())
     limit = effective_limit(cfg)
-    t0 = time.monotonic()
     lc, cat, label_by_weight = _labelled_catalog(alg, cfg.seed)
     chi = PChar.zero(alg)
     lams = enumerate_lambda(chi)
@@ -305,15 +284,15 @@ def suite_verma(cfg: SuiteConfig) -> SuiteReport:
                 {"weight": list(lam.degree_zero),
                  "z_corrected": z_needed},
                 [formula[w] for w in weights], [oracle[w] for w in weights],
-                cfg.seed, t0)
+                cfg.seed)
     first = next(iter(oracle_rows.values()), None)
     if alg.dim_z == 0 and first is not None:
         rep.add("multiplicities are independent of the weight",
                 "these composition multiplicities depend only on λ|_{z(g)}",
-                {}, True, all(v == first for v in oracle_rows.values()), cfg.seed, t0)
+                {}, True, all(v == first for v in oracle_rows.values()), cfg.seed)
     rep.add("z-corrected constant required",
             "suggested correction factor p^{dim z(g)}",
-            {"dim_z": alg.dim_z}, alg.dim_z > 0, z_needed, cfg.seed, t0)
+            {"dim_z": alg.dim_z}, alg.dim_z > 0, z_needed, cfg.seed)
     return rep
 
 
@@ -331,7 +310,6 @@ def suite_cartan(cfg: SuiteConfig) -> SuiteReport:
     weights = sorted(lc.values)
 
     # regular-module audit: [U_0 : L(mu)] = sum_lambda dim L(lambda) c_{lambda mu}
-    t0 = time.monotonic()
     try:
         U = build_regular_module(chi, limit=limit)
         series = chop(U, seed=cfg.seed, catalog=cat)
@@ -347,25 +325,23 @@ def suite_cartan(cfg: SuiteConfig) -> SuiteReport:
             formula.append(total)
         rep.add("regular module composition multiplicities match the Cartan formula",
                 "l_λ l_μ p^{m dim(g) - rank(g)}",
-                {"weights": [list(w) for w in weights]}, formula, oracle, cfg.seed, t0)
+                {"weights": [list(w) for w in weights]}, formula, oracle, cfg.seed)
     except TooLarge as ex:
         rep.skip("regular module audit", str(ex))
 
     # Z_proj filtration: (Z_proj(lambda) : Z(mu)) = delta * p^{m r}
-    t0 = time.monotonic()
     for w1 in weights:
         lam = LambdaWeight.from_degree_zero(w1, alg)
-        Zp = build_Zproj(lam, alg, limit=limit)
+        Zp = build_Zproj(chi, lam, limit=limit)
         counts = _zproj_filtration_multiplicities(Zp, alg, chi, lams, cfg.seed, limit)
         expected = {w2: (alg.p ** (alg.m * alg.rank) if w2 == w1 else 0) for w2 in weights}
         rep.add(f"baby Verma filtration multiplicities of the induced projective at {w1}",
                 "(Z_proj(λ):Z(μ)) = δ_{λ,μ} p^{m rank(g)}",
                 {"weight": list(w1)},
                 [expected[w] for w in weights],
-                [counts.get(w, 0) for w in weights], cfg.seed, t0)
+                [counts.get(w, 0) for w in weights], cfg.seed)
 
     # dual baby Vermas have the same factors
-    t0 = time.monotonic()
     for w in weights:
         lam = LambdaWeight.from_degree_zero(w, alg)
         Z = build_baby_verma(chi, lam, limit=limit)
@@ -375,7 +351,7 @@ def suite_cartan(cfg: SuiteConfig) -> SuiteReport:
         rep.add(f"dual baby Verma at {w} has the same composition factors",
                 "[DZ(μ): L(λ)] = [Z(μ): L(λ)]",
                 {"weight": list(w)}, sorted(sZ.factors), sorted(sD.factors),
-                cfg.seed, t0)
+                cfg.seed)
     return rep
 
 
@@ -396,7 +372,8 @@ def _zproj_filtration_multiplicities(Zp, alg, chi, lams, seed, limit):
         sub.add_rows(eye[keep])
         for A in acts:
             img = linalg.matmul(sub.rows, A.T, p)
-            assert sub.contains(img), "filtration subspace is not invariant"
+            if not sub.contains(img):
+                raise InternalError("filtration subspace is not invariant")
         acts_sub = [A[np.ix_(keep, keep)] for A in acts]
         rel = np.searchsorted(keep, inner)
         ech = linalg.Echelon(len(keep), p)
@@ -409,7 +386,8 @@ def _zproj_filtration_multiplicities(Zp, alg, chi, lams, seed, limit):
         dimZ = p ** ((alg.m + 1) * alg.num_pos_roots)
         if section.dim == 0:
             continue
-        assert section.dim % dimZ == 0, "section dimension is not a Verma multiple"
+        if section.dim % dimZ:
+            raise InternalError("section dimension is not a Verma multiple")
         copies = section.dim // dimZ
         if copies == 1:
             from .meataxe import verma_intertwiner
@@ -419,7 +397,7 @@ def _zproj_filtration_multiplicities(Zp, alg, chi, lams, seed, limit):
                     counts[w] += 1
                     break
             else:
-                raise AssertionError("section matched no baby Verma")
+                raise InternalError("section matched no baby Verma")
         else:
             # split the section into its Verma summands by spinning highest vectors
             counts.update(_split_verma_section(section, vermas, alg, seed))
@@ -444,7 +422,7 @@ def _split_verma_section(section, vermas, alg, seed):
             break
         hv = _find_verma_summand(remaining, vermas, alg, seed)
         if hv is None:
-            raise AssertionError("could not split a Verma summand off the section")
+            raise InternalError("could not split a Verma summand off the section")
         w, sub = hv
         counts[w] += 1
         remaining = quotient_rep(remaining, sub)
@@ -477,25 +455,23 @@ def suite_simples(cfg: SuiteConfig) -> SuiteReport:
     e = _regular_nilpotent(alg)
     chi = pchar_from_element(e)
     lams = enumerate_lambda(chi)
-    t0 = time.monotonic()
     if alg.kind == "sl":
         mods = [build_baby_verma(chi, lam, limit=limit) for lam in lams]
         irr = [is_irreducible(Z, seed=cfg.seed) for Z in mods]
         rep.add("baby Vermas at the regular nilpotent character are simple",
                 "Z_χ(λ) is simple for all", {"count": len(mods)},
-                [True] * len(mods), irr, cfg.seed, t0)
-        t0 = time.monotonic()
+                [True] * len(mods), irr, cfg.seed)
         iso_flags = []
         for i in range(1, len(mods)):
             flag, wit = are_isomorphic(mods[0], mods[i], seed=cfg.seed)
             iso_flags.append(flag and wit is not None)
         rep.add("all simple quotients are pairwise isomorphic (trivial centre)",
                 "λ|_{z(g)} = μ|_{z(g)}", {"pairs": len(iso_flags)},
-                [True] * len(iso_flags), iso_flags, cfg.seed, t0)
+                [True] * len(iso_flags), iso_flags, cfg.seed)
         cls = classify_simples_homogeneous(chi, seed=cfg.seed)
         rep.add("class count matches the centre of the Levi",
                 "λ|_{z(g_I)} = μ|_{z(g_I)}", {"partition": list(cls.levi.partition)},
-                cls.predicted_count, cls.class_count, cfg.seed, t0)
+                cls.predicted_count, cls.class_count, cfg.seed)
     else:
         for partition_mat, pname in _gl_partition_cases(alg):
             _gl_classification_checks(rep, cfg, alg, partition_mat, pname, limit)
@@ -520,20 +496,18 @@ def _gl_classification_checks(rep, cfg, alg, emat, pname, limit):
     e = CurrentElement.from_matrix(alg, emat, 0)
     chi = pchar_from_element(e)
     cls = classify_simples_homogeneous(chi, seed=cfg.seed)
-    t0 = time.monotonic()
     rep.add(f"class count for nilpotent of partition {list(cls.levi.partition)}",
             "λ|_{z(g_I)} = μ|_{z(g_I)}",
             {"partition": list(cls.levi.partition), "nilpotent": pname},
-            cls.predicted_count, cls.class_count, cfg.seed, t0)
+            cls.predicted_count, cls.class_count, cfg.seed)
     class_sizes = sorted({len(c) for c in cls.classes})
     total = alg.p ** alg.rank
     rep.add(f"all classes have equal size for partition {list(cls.levi.partition)}",
             "λ|_{z(g_I)} = μ|_{z(g_I)}",
             {"partition": list(cls.levi.partition)},
-            [total // cls.predicted_count], class_sizes, cfg.seed, t0)
+            [total // cls.predicted_count], class_sizes, cfg.seed)
 
     # within-class witnesses: explicit Verma intertwiners
-    t0 = time.monotonic()
     within_ok = []
     heads = []
     for cl in cls.classes:
@@ -545,10 +519,9 @@ def _gl_classification_checks(rep, cfg, alg, emat, pname, limit):
         heads.append((cl[0], Zl))
     rep.add(f"within-class baby Vermas are isomorphic (partition {list(cls.levi.partition)})",
             "λ|_{z(g_I)} = μ|_{z(g_I)}",
-            {"pairs": len(within_ok)}, [True] * len(within_ok), within_ok, cfg.seed, t0)
+            {"pairs": len(within_ok)}, [True] * len(within_ok), within_ok, cfg.seed)
 
     # cross-class: heads of representatives are pairwise non-isomorphic
-    t0 = time.monotonic()
     head_reps = []
     for lam, Z in heads:
         if is_irreducible(Z, seed=cfg.seed):
@@ -568,7 +541,7 @@ def _gl_classification_checks(rep, cfg, alg, emat, pname, limit):
     rep.add(f"cross-class simple quotients are non-isomorphic (partition {list(cls.levi.partition)})",
             "λ|_{z(g_I)} = μ|_{z(g_I)}",
             {"pairs": pairs, "head_dims": sorted({h.dim for h in head_reps})},
-            0, cross_bad, cfg.seed, t0)
+            0, cross_bad, cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -578,39 +551,38 @@ def _gl_classification_checks(rep, cfg, alg, emat, pname, limit):
 def suite_semisimple(cfg: SuiteConfig) -> SuiteReport:
     alg = cfg.descriptor()
     rep = SuiteReport("semisimple", cfg.as_dict())
-    t0 = time.monotonic()
     audit = semisimple_character_audit(alg, seed=cfg.seed, limit=effective_limit(cfg))
     rep.add("number of simple modules at a regular toral character",
             "precisely p^{rank(g)} simple modules",
-            {}, audit.expected_count, audit.simple_count, cfg.seed, t0)
+            {}, audit.expected_count, audit.simple_count, cfg.seed)
     rep.add("all simples have the predicted dimension and are pairwise distinct",
             "Mat_{p^{(m+1)ind(g)}} U_0(h_m)",
             {}, [audit.expected_dim] * audit.simple_count + [True, True],
             audit.simple_dims + [audit.all_simple, audit.pairwise_distinct],
-            cfg.seed, t0)
+            cfg.seed)
     rep.add("dimension audit of the matrix-algebra shape",
             "Mat_{p^{(m+1)ind(g)}} U_0(h_m)", {}, True, audit.dimension_audit_ok,
-            cfg.seed, t0)
+            cfg.seed)
     if audit.projective_dim is not None:
         rep.add("projective dimension over the regular toral character",
                 "p^{(m+1)/2(dim(g) + rank(g)) - rank(g)}",
                 {"factors": audit.projective_factors},
-                audit.expected_projective_dim, audit.projective_dim, cfg.seed, t0)
-
-    t0 = time.monotonic()
+                audit.expected_projective_dim, audit.projective_dim, cfg.seed)
+    else:
+        rep.skip("projective dimension over the regular toral character",
+                 audit.projective_skip)
     chi0 = PChar.zero(alg)
     lam = enumerate_lambda(chi0)[0]
-    Q = build_torus_projective(lam, alg)
+    Q = build_torus_projective(chi0, lam)
     series = chop(Q, seed=cfg.seed)
     rep.add("torus projective cover has a single composition factor",
             "multiplicity p^{m dim(h)}",
             {"dim": Q.dim},
             [alg.p ** (alg.m * alg.rank)],
-            [m for _s, m in series.factors], cfg.seed, t0)
+            [m for _s, m in series.factors], cfg.seed)
 
     # completeness: every simple occurs in the regular module, so its
     # decomposition certifies that the Borel-induced simples are all of them
-    t0 = time.monotonic()
     limit = effective_limit(cfg)
     if alg.p ** alg.dim_gm <= limit:
         from .formulas import _regular_degree0_toral
@@ -627,11 +599,11 @@ def suite_semisimple(cfg: SuiteConfig) -> SuiteReport:
                 "precisely p^{rank(g)} simple modules",
                 {"factor_dims": sorted(useries.dims.values())},
                 sorted(f"V{i}" for i in range(alg.p ** alg.rank)),
-                sorted(s for s, _m in useries.factors), cfg.seed, t0)
+                sorted(s for s, _m in useries.factors), cfg.seed)
         rep.add("regular-module multiplicities equal the projective dimension",
                 "p^{(m+1)/2(dim(g) + rank(g)) - rank(g)}",
                 {}, [proj_dim] * (alg.p ** alg.rank),
-                [m for _s, m in useries.factors], cfg.seed, t0)
+                [m for _s, m in useries.factors], cfg.seed)
     else:
         rep.skip("regular module completeness check",
                  "regular module exceeds the dimension limit")
@@ -645,7 +617,6 @@ def suite_semisimple(cfg: SuiteConfig) -> SuiteReport:
 def suite_kw(cfg: SuiteConfig) -> SuiteReport:
     alg = cfg.descriptor()
     rep = SuiteReport("kw", cfg.as_dict())
-    t0 = time.monotonic()
     regular_limit = 800 if (alg.p == 3 and alg.m == 1) else 130
     scan = kw_scan(alg, cfg.samples, cfg.seed, regular_limit=regular_limit,
                    full_chop_budget=12)
@@ -653,23 +624,25 @@ def suite_kw(cfg: SuiteConfig) -> SuiteReport:
             "The first Kac-Weisfeiler conjecture holds",
             {"samples": cfg.samples, "routes": dict(scan.checked_simple_counts),
              "notes": len(scan.notes)},
-            scan.kw1_bound, scan.max_simple_dim, cfg.seed, t0)
+            scan.kw1_bound, scan.max_simple_dim, cfg.seed)
     rep.add("the bound is attained at a regular semisimple witness",
             "dimension p^{(m+1)/2(dim(g) - rank(g))}",
-            {}, True, scan.kw1_attained, cfg.seed, t0)
+            {}, True, scan.kw1_attained, cfg.seed)
     rep.add("no divisibility violations among constructed simples",
             "holds for (sl_2)_m provided p > 2",
-            {"samples": cfg.samples}, [], scan.kw2_violations, cfg.seed, t0)
+            {"samples": cfg.samples}, [], scan.kw2_violations, cfg.seed)
     # regular toral character: simple count and projective dimension
-    t0 = time.monotonic()
     audit = semisimple_character_audit(alg, seed=cfg.seed, limit=effective_limit(cfg))
     rep.add("simple count at the regular toral witness",
             "precisely p^{rank(g)} simple modules",
-            {}, audit.expected_count, audit.simple_count, cfg.seed, t0)
+            {}, audit.expected_count, audit.simple_count, cfg.seed)
     if audit.projective_dim is not None:
         rep.add("projective dimension at the regular toral witness",
                 "p^{(m+1)/2(dim(g) + rank(g)) - rank(g)}",
-                {}, audit.expected_projective_dim, audit.projective_dim, cfg.seed, t0)
+                {}, audit.expected_projective_dim, audit.projective_dim, cfg.seed)
+    else:
+        rep.skip("projective dimension at the regular toral witness",
+                 audit.projective_skip)
     return rep
 
 
@@ -681,21 +654,19 @@ def suite_partition(cfg: SuiteConfig) -> SuiteReport:
     alg = cfg.descriptor()
     ctx = get_context(alg)
     rep = SuiteReport("partition", cfg.as_dict())
-    t0 = time.monotonic()
     table = kostant_table(alg)
     rep.add("partition table total mass",
             "Σ_γ p_m(γ) = p^{m/2(dim(g) - rank(g))}",
-            {}, alg.p ** (alg.m * alg.num_pos_roots), table.total_mass, cfg.seed, t0)
+            {}, alg.p ** (alg.m * alg.num_pos_roots), table.total_mass, cfg.seed)
     central_bad = 0
     if alg.dim_z:
         for gamma, v in table.table.items():
             if v and sum(gamma) != 0:
                 central_bad += 1
     rep.add("partition function vanishes off the centre-trivial cosets",
-            "p_m(γ) = 0 if (dγ)|_{z(g)} ≠ 0", {}, 0, central_bad, cfg.seed, t0)
+            "p_m(γ) = 0 if (dγ)|_{z(g)} ≠ 0", {}, 0, central_bad, cfg.seed)
 
     # shift sum over a lattice box of radius 3p
-    t0 = time.monotonic()
     radius = 3 * alg.p
     rng = np.random.default_rng((cfg.seed, 110))
     probes = [ctx.roots.canonical_weight((0,) * alg.n)]
@@ -722,10 +693,9 @@ def suite_partition(cfg: SuiteConfig) -> SuiteReport:
             {"radius": radius, "probes": len(probes),
              "matching_constant": matching,
              "paper_constant": paper_const, "z_corrected_constant": corr_const},
-            expected, observed, cfg.seed, t0)
+            expected, observed, cfg.seed)
 
     # exact constancy on root-lattice translates
-    t0 = time.monotonic()
     bad_shift = 0
     base = ctx.roots.canonical_weight((0,) * alg.n)
     v0, _, _ = pm_shift_sum(base, alg, table)
@@ -735,11 +705,10 @@ def suite_partition(cfg: SuiteConfig) -> SuiteReport:
         if v != v0:
             bad_shift += 1
     rep.add("shift sum is constant along root translates",
-            "bijection f: S_γ → S_{γ+β}", {}, 0, bad_shift, cfg.seed, t0)
+            "bijection f: S_γ → S_{γ+β}", {}, 0, bad_shift, cfg.seed)
 
     # graded character convolution where the graded Vermas are buildable
     if alg.p ** ((alg.m + 1) * alg.num_pos_roots) <= effective_limit(cfg):
-        t0 = time.monotonic()
         bad_conv = 0
         chi = PChar.zero(alg)
         gammas = [ctx.roots.canonical_weight((g,) + (0,) * (alg.n - 1))
@@ -762,7 +731,7 @@ def suite_partition(cfg: SuiteConfig) -> SuiteReport:
                 bad_conv += 1
         rep.add("graded characters satisfy the partition-function convolution",
                 "Char Ẑ(γ) = Σ_β p_m(γ - β) Char Ẑ^g(β)",
-                {"gammas": len(gammas)}, 0, bad_conv, cfg.seed, t0)
+                {"gammas": len(gammas)}, 0, bad_conv, cfg.seed)
     return rep
 
 
@@ -773,16 +742,15 @@ def suite_partition(cfg: SuiteConfig) -> SuiteReport:
 def suite_blocks(cfg: SuiteConfig) -> SuiteReport:
     alg = cfg.descriptor()
     rep = SuiteReport("blocks", cfg.as_dict())
-    t0 = time.monotonic()
     limit = effective_limit(cfg)
     if alg.dim_z == 0:
         bp = blocks(alg, seed=cfg.seed, limit=limit)
         rep.add("single block for trivial centre",
-                "U_0(g_m) has only one block", {}, 1, bp.count, cfg.seed, t0)
+                "U_0(g_m) has only one block", {}, 1, bp.count, cfg.seed)
         rep.add("block count against the remark",
                 "the number of blocks is p^{(m+1) dim z(g)}",
                 {"predicted_by_remark": bp.predicted_remark},
-                bp.predicted_remark, bp.count, cfg.seed, t0)
+                bp.predicted_remark, bp.count, cfg.seed)
     else:
         # central-character slice: weights with zero central sum
         chi = PChar.zero(alg)
@@ -792,10 +760,9 @@ def suite_blocks(cfg: SuiteConfig) -> SuiteReport:
         z_classes = alg.p ** alg.dim_z
         rep.add("slice linkage graph is connected (one block per central class)",
                 "λ|_{z(g)} = μ|_{z(g)} ... lie in the same block",
-                {"slice_size": len(slice_weights)}, 1, bp.count, cfg.seed, t0)
+                {"slice_size": len(slice_weights)}, 1, bp.count, cfg.seed)
         # exact separation of central characters: z t^0 acts by the scalar
         # sum(λ) on each baby Verma, so blocks refine the z-classes
-        t0 = time.monotonic()
         bad_scalar = 0
         ctx = get_context(alg)
         eye_scalars = []
@@ -808,7 +775,7 @@ def suite_blocks(cfg: SuiteConfig) -> SuiteReport:
                 bad_scalar += 1
         rep.add("the central element acts by the central character on each baby Verma",
                 "λ|_{z(g)} = μ|_{z(g)}", {"checked": len(lams[:: max(1, len(lams) // 6)])},
-                0, bad_scalar, cfg.seed, t0)
+                0, bad_scalar, cfg.seed)
         linkage_count = bp.count * z_classes
         rep.add("block count at the linkage level against the remark",
                 "the number of blocks is p^{(m+1) dim z(g)}",
@@ -817,7 +784,7 @@ def suite_blocks(cfg: SuiteConfig) -> SuiteReport:
                  "linkage_count_all_slices_if_symmetric": linkage_count,
                  "remark_predicts": bp.predicted_remark,
                  "remark_matches_linkage": linkage_count == bp.predicted_remark},
-                z_classes, bp.count * z_classes, cfg.seed, t0)
+                z_classes, bp.count * z_classes, cfg.seed)
     return rep
 
 
@@ -828,20 +795,18 @@ def suite_blocks(cfg: SuiteConfig) -> SuiteReport:
 def suite_invariants(cfg: SuiteConfig) -> SuiteReport:
     alg = cfg.descriptor()
     rep = SuiteReport("invariants", cfg.as_dict())
-    t0 = time.monotonic()
     inv = invariance_check(alg, min(cfg.samples, 100), cfg.seed)
     rep.add("invariance under sampled group conjugations",
             "each p_{i,j} is G_m-invariant",
             {"samples": inv.samples},
-            [], inv.conjugation_failures, cfg.seed, t0)
+            [], inv.conjugation_failures, cfg.seed)
     rep.add("directional derivatives along bracket directions vanish",
             "each p_{i,j} is G_m-invariant",
-            {"samples": inv.samples}, [], inv.ad_failures, cfg.seed, t0)
-    t0 = time.monotonic()
+            {"samples": inv.samples}, [], inv.ad_failures, cfg.seed)
     ind = independence_check(alg, 20, cfg.seed)
     rep.add("generic Jacobian of the invariant generators has full rank",
             "form an algebraically independent set of generators",
-            {"target": ind.target_rank}, ind.target_rank, ind.best_rank, cfg.seed, t0)
+            {"target": ind.target_rank}, ind.target_rank, ind.best_rank, cfg.seed)
     return rep
 
 

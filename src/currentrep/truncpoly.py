@@ -94,13 +94,3 @@ class TruncPoly:
             k >>= 1
         return out
 
-
-def poly_arith(a: TruncPoly, b: TruncPoly | None, op: str) -> TruncPoly:
-    """Spec-level dispatcher: op in {'add', 'mul', 'invert-a'}."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "invert-a":
-        return a.invert()
-    raise ValueError(f"unknown op {op!r}")

@@ -182,3 +182,18 @@ def test_jordan_across_shapes_seeded():
         assert is_nilpotent(nil)
         if not s.is_zero():
             assert classify_element(s) == "semisimple"
+
+
+def test_mat_mult_at_a_large_prime():
+    # with every entry p - 1, one matrix product reaches 3 (p-1)^2 < 2^63,
+    # but the four degree pairs of t^3 together would pass 2^63
+    p = 1073741789
+    alg = AlgebraDescriptor("gl", 3, p, 3)
+    x = CurrentElement(alg, np.full((4, 3, 3), p - 1, dtype=np.int64))
+    got = x.mat_mult(x)
+    c = [[[int(v) for v in row] for row in mat] for mat in x.coeffs]
+    for k in range(4):
+        for r in range(3):
+            for s in range(3):
+                want = sum(c[i][r][t] * c[k - i][t][s] for i in range(k + 1) for t in range(3))
+                assert got[k, r, s] == want % p

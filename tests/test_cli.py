@@ -86,7 +86,7 @@ def test_inspect_module(tmp_path, capsys):
     chi = PChar.zero(alg)
     Z = build_baby_verma(chi, enumerate_lambda(chi)[0])
     f = tmp_path / "z.json"
-    f.write_text(json.dumps(Z.to_json_dict(compact=True)))
+    f.write_text(json.dumps(Z.to_json_dict()))
     assert run(["inspect", "module", str(f)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["dim"] == 9 and doc["axioms_ok"] is True

@@ -4,7 +4,7 @@ import pytest
 from currentrep.algebra import AlgebraDescriptor, CurrentElement
 from currentrep.errors import FormulaDomainError, OutOfScope
 from currentrep.formulas import (blocks, cartan_formula, cartan_matrix_formula,
-                                 classify_simples_homogeneous, kostant_pm,
+                                 classify_simples_homogeneous,
                                  kostant_table, kw_scan, l_constants,
                                  pm_shift_sum, semisimple_character_audit,
                                  verma_mult_formula)
@@ -29,7 +29,7 @@ def test_kostant_table_sl2():
 def test_kostant_m0_trivial():
     T = kostant_table(AlgebraDescriptor("sl", 2, 3, 0))
     assert T.table == {(0, 0): 1}
-    assert kostant_pm((0, 0), AlgebraDescriptor("sl", 2, 3, 0)) == 1
+    assert kostant_table(AlgebraDescriptor("sl", 2, 3, 0))((0, 0)) == 1
 
 
 def test_shift_sum_sl2():
@@ -164,7 +164,7 @@ def test_blocks_torus_free():
     chi0 = PChar.zero(SL2)
     sims = set()
     for lam in enumerate_lambda(chi0):
-        Q = build_torus_projective(lam, SL2)
+        Q = build_torus_projective(chi0, lam)
         series = chop(Q, seed=4)
         assert len(series.factors) == 1
         assert series.factors[0][1] == 3  # multiplicity p^{m r}
@@ -179,6 +179,18 @@ def test_semisimple_audit():
     assert audit.simple_dims == [9, 9, 9]
     assert audit.projective_dim == 27
     assert audit.projective_factors is not None
+    assert audit.projective_skip is None
+
+
+def test_projective_dimension_skip_is_reported():
+    # the 27-dim induced projective exceeds a limit of 20: the suite must
+    # say so instead of dropping the check
+    from currentrep.suites import SuiteConfig, run_suite
+    rep = run_suite(SuiteConfig("sl", 2, 3, 1, suite="semisimple", seed=7, limit=20))
+    skipped = {s["claim"]: s["reason"] for s in rep.skipped}
+    reason = skipped["projective dimension over the regular toral character"]
+    assert "exceeds limit 20" in reason
+    assert not any("projective dimension" in c.claim for c in rep.checks)
 
 
 def test_kw_scan_small():
@@ -204,7 +216,7 @@ def test_composition_sum_law_for_zproj():
         labels[lam.degree_zero] = cat.register(inflate(L, 1), f"L{lam.degree_zero}")
     chi = PChar.zero(SL2)
     for lam in enumerate_lambda(chi):
-        Zp = build_Zproj(lam, SL2)
+        Zp = build_Zproj(chi, lam)
         series = chop(Zp, seed=8, catalog=cat)
         Z = build_baby_verma(chi, lam)
         zser = chop(Z, seed=8, catalog=cat)

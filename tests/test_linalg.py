@@ -40,7 +40,7 @@ def test_rref_blocked_matches_naive(seed):
     cols = int(rng.integers(1, 60))
     r = int(rng.integers(1, min(rows, cols) + 1))
     A = linalg.matmul(rng.integers(0, p, (rows, r)), rng.integers(0, p, (r, cols)), p)
-    R1, p1 = linalg._rref_naive(A.copy(), p)
+    R1, p1, _ = linalg._rref_naive(A.copy(), p)
     R2, p2 = linalg._rref_blocked(A.copy(), p, nb=7)
     assert p1 == p2
     assert np.array_equal(R1, R2)
@@ -80,3 +80,41 @@ def test_echelon_incremental_matches_batch():
     assert ech.pivots == piv
     coords = ech.coords(rows)
     assert np.array_equal(linalg.matmul(coords, ech.rows, p), rows % p)
+
+
+def _textbook_rref(A, p):
+    R = [[int(x) % p for x in row] for row in A]
+    rows, cols = len(R), len(R[0])
+    pivots, r = [], 0
+    for c in range(cols):
+        i = next((i for i in range(r, rows) if R[i][c]), None)
+        if i is None:
+            continue
+        R[r], R[i] = R[i], R[r]
+        inv = pow(R[r][c], p - 2, p)
+        R[r] = [x * inv % p for x in R[r]]
+        for j in range(rows):
+            if j != r and R[j][c]:
+                f = R[j][c]
+                R[j] = [(x - f * y) % p for x, y in zip(R[j], R[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return np.array(R[:r], dtype=np.int64).reshape(r, cols), pivots
+
+
+@pytest.mark.parametrize("rows,cols,p", [(20, 140, 3), (40, 150, 5), (30, 130, 131),
+                                         (20, 140, 10000019), (9, 12, 10000019),
+                                         (9, 12, 2 ** 31 - 1)])
+def test_rref_matches_textbook_elimination(rows, cols, p):
+    # the first four shapes take the blocked path, the last two the plain
+    # loop: reducing lazily at p = 10000019, every step at p = 2^31 - 1
+    rng = np.random.default_rng(rows + cols)
+    A = rng.integers(0, p, (rows, cols))
+    A[:, 3] = A[:, 1]
+    A[:, 7] = 0
+    R0, p0 = _textbook_rref(A, p)
+    R1, p1 = linalg.rref(A, p)
+    assert p1 == p0
+    assert np.array_equal(R1, R0)

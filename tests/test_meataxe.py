@@ -6,8 +6,8 @@ import pytest
 from currentrep import linalg
 from currentrep.algebra import AlgebraDescriptor, CurrentElement, get_context
 from currentrep.errors import NotGraded, NotWeightModule
-from currentrep.meataxe import (SimpleCatalog, are_isomorphic, chop,
-                                graded_character, head, head_general,
+from currentrep.meataxe import (SimpleCatalog, _standard_basis, are_isomorphic,
+                                chop, graded_character, head, head_general,
                                 hom_space, invariant_subspace, is_irreducible,
                                 spin, submodule_rep, verma_intertwiner,
                                 weight_character)
@@ -286,3 +286,45 @@ def test_submodule_quotient_shapes():
     Q = quotient_rep(Z, sub)
     assert Q.dim == 9 - sub.dim
     assert check_module_axioms(Q).ok
+
+
+def _one_step_standard_basis(actions, v, p):
+    """Standard basis spun one image at a time, as a reference."""
+    ech = linalg.Echelon(actions[0].shape[0], p)
+    basis = [np.asarray(v) % p]
+    ech.add_rows(basis[0])
+    steps = []
+    i = 0
+    while i < len(basis):
+        for gslot, A in enumerate(actions):
+            w = linalg.matvec(A, basis[i], p)
+            if not ech.contains(w):
+                basis.append(w)
+                ech.add_rows(w)
+                steps.append((i, gslot))
+        i += 1
+    return np.stack(basis), steps
+
+
+def test_standard_basis_matches_one_step_spin_and_replays():
+    chi = pchar_from_element(E)
+    lams = enumerate_lambda(chi)
+    Z0 = build_baby_verma(chi, lams[0])
+    Z1 = build_baby_verma(chi, lams[1])
+    acts = [Z0.action(i) for i in range(len(Z0.gens))]
+    rng = np.random.default_rng(2)
+    for v in [np.eye(Z0.dim, dtype=np.int64)[-1], rng.integers(0, 3, Z0.dim)]:
+        basis, steps = _standard_basis(acts, v, 3)
+        ref_basis, ref_steps = _one_step_standard_basis(acts, v, 3)
+        assert steps == ref_steps
+        assert np.array_equal(basis, ref_basis)
+    # an isomorphic module replays the schedule from the image of the seed
+    flag, theta = are_isomorphic(Z0, Z1, seed=4)
+    assert flag
+    v = np.eye(Z0.dim, dtype=np.int64)[-1]
+    basis, steps = _standard_basis(acts, v, 3)
+    acts1 = [Z1.action(i) for i in range(len(Z1.gens))]
+    replay = _standard_basis(acts1, linalg.matvec(theta, v, 3), 3, steps)
+    assert replay is not None and replay[1] == steps
+    # a module of another dimension pattern departs from it
+    assert _standard_basis(acts1, np.zeros(Z1.dim, dtype=np.int64), 3, steps) is None

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -101,27 +102,27 @@ def test_dual_verma():
 
 
 def test_torus_projective():
-    lam = enumerate_lambda(PChar.zero(SL2))[0]
-    Q = build_torus_projective(lam, SL2)
+    chi = PChar.zero(SL2)
+    Q = build_torus_projective(chi, enumerate_lambda(chi)[0])
     assert Q.dim == 3
     assert Q.tdeg_tags == [0, 1, 2]
     assert check_module_axioms(Q).ok
-    m0 = AlgebraDescriptor("sl", 2, 3, 0)
-    Q0 = build_torus_projective(enumerate_lambda(PChar.zero(m0))[0], m0)
+    chi0 = PChar.zero(AlgebraDescriptor("sl", 2, 3, 0))
+    Q0 = build_torus_projective(chi0, enumerate_lambda(chi0)[0])
     assert Q0.dim == 1
-    g3 = AlgebraDescriptor("gl", 3, 3, 1)
-    Qg = build_torus_projective(enumerate_lambda(PChar.zero(g3))[0], g3)
+    chig = PChar.zero(AlgebraDescriptor("gl", 3, 3, 1))
+    Qg = build_torus_projective(chig, enumerate_lambda(chig)[0])
     assert Qg.dim == 27
 
 
 def test_zproj():
-    lam = enumerate_lambda(PChar.zero(SL2))[0]
-    Zp = build_Zproj(lam, SL2)
+    chi = PChar.zero(SL2)
+    Zp = build_Zproj(chi, enumerate_lambda(chi)[0])
     assert Zp.dim == 27
     assert check_module_axioms(Zp).ok
     m0 = AlgebraDescriptor("sl", 2, 3, 0)
     lam0 = enumerate_lambda(PChar.zero(m0))[0]
-    Zp0 = build_Zproj(lam0, m0)
+    Zp0 = build_Zproj(PChar.zero(m0), lam0)
     Z0 = build_baby_verma(PChar.zero(m0), lam0)
     assert Zp0.dim == Z0.dim == 3
 
@@ -143,11 +144,10 @@ def test_inflate():
 
 def test_twist_module_torus():
     # twist a χ-torus module back to χ = 0: U_χ(h_m) ≅ U_0(h_m)
-    from currentrep.formulas import _torus_projective_at_chi
     chi = pchar_from_element(H)
     lam = enumerate_lambda(chi)[0]
-    Q = _torus_projective_at_chi(SL2, chi, lam)
-    assert Q is not None and Q.dim == 3
+    Q = build_torus_projective(chi, lam)
+    assert Q.dim == 3
     assert check_module_axioms(Q).ok
     eta = PChar(H.scale(2))  # -χ has dual -h = 2h
     assert (chi.dual + eta.dual).is_zero()
@@ -195,14 +195,21 @@ def test_axiom_checker_flags_corruption():
 
 
 def test_module_serialization_roundtrip():
-    chi = PChar.zero(SL2)
-    lam = enumerate_lambda(chi)[1]
-    Z = build_baby_verma(chi, lam)
-    for compact in (False, True):
-        d = Z.to_json_dict(compact=compact)
-        M = type(Z).from_json_dict(d)
+    for alg, idx in ((SL2, 1), (AlgebraDescriptor("sl", 2, 11, 0), 5)):
+        chi = PChar.zero(alg)
+        Z = build_baby_verma(chi, enumerate_lambda(chi)[idx])
+        M = type(Z).from_json_dict(json.loads(json.dumps(Z.to_json_dict())))
         assert M.dim == Z.dim
         assert all(np.array_equal(M.action(i), Z.action(i)) for i in range(len(Z.gens)))
+
+
+def test_large_prime_actions_are_stored_exactly():
+    # entries up to p - 1 = 130 do not fit a signed byte
+    alg = AlgebraDescriptor("sl", 2, 131, 0)
+    chi = PChar.zero(alg)
+    Z = build_baby_verma(chi, enumerate_lambda(chi)[5])
+    assert Z.dim == 131
+    assert check_module_axioms(Z).ok
 
 
 def test_solve_twist_weight_property():

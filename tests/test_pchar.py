@@ -8,7 +8,7 @@ from currentrep.algebra import (AlgebraDescriptor, CurrentElement,
                                 random_element)
 from currentrep.errors import NotNilpotent, UnsupportedTruncation
 from currentrep.pchar import (PChar, index_estimate, pchar_from_element,
-                              pchar_jordan, pchar_to_element, random_pchar,
+                              pchar_jordan, random_pchar,
                               stabilizer_dim, standard_levi_form,
                               support_degree, truncate_pchar)
 
@@ -23,7 +23,7 @@ def test_duality_roundtrip():
     rng = np.random.default_rng(0)
     for _ in range(20):
         c = random_element(SL2, rng)
-        assert pchar_to_element(pchar_from_element(c)) == c
+        assert pchar_from_element(c).dual == c
 
 
 def test_dual_of_h_evaluation():
