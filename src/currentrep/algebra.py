@@ -48,6 +48,10 @@ class AlgebraDescriptor:
             raise InvalidDescriptor(f"{self.p} is not prime")
         if self.n < 2:
             raise InvalidDescriptor("need n >= 2")
+        if self.n * (self.p - 1) ** 2 >= 2 ** 63:
+            # the bound _stack_mult relies on: one n x n product of residues
+            raise InvalidDescriptor(f"p = {self.p} is too large for n = {self.n}: "
+                                    "element products would leave int64")
         if self.m < 0:
             raise InvalidDescriptor("need m >= 0")
         if self.kind == "sl" and self.n % self.p == 0:

@@ -3,8 +3,18 @@
 Matrices are numpy integer arrays with entries reduced to [0, p).  Matrix
 products are computed through BLAS in floating point and reduced mod p
 afterwards; this is exact as long as ``inner_dim * (p-1)**2`` stays below the
-mantissa capacity, which is checked on every call.  Row reduction is a
-vectorised Gauss-Jordan elimination.
+mantissa capacity, which is checked on every call, and past float64 the
+product is taken over Python integers.  Row reduction is a vectorised
+Gauss-Jordan elimination.
+
+Reduce once: the public functions (``matmul``, ``matvec``, ``matpow``,
+``rref``, ``rank``, ``kernel``, ``solve``, ``inv`` and the ``Echelon``
+methods) reduce their arguments mod p on entry and return int64 arrays with
+entries in [0, p).  The private helpers (``_mul_reduced``, ``_lift``,
+``_times``, ``_rref_naive``, ``_rref_blocked``, ``Echelon._cancel``) trust
+their input to be in range and never reduce it again; so does
+``meataxe.spin`` for its action matrices.  ``asmod`` always returns a copy,
+which ``rref`` then overwrites in place.
 """
 
 from __future__ import annotations
@@ -37,12 +47,28 @@ def _float_dtype(inner: int, p: int):
     return None
 
 
+def _lift(blocks, p: int, inner: int) -> np.ndarray:
+    """Horizontal stack of blocks with entries in [0, p), as the right
+    operand of :func:`_times` for products with inner dimension up to
+    ``inner``: in the float dtype that holds them exactly, else int64."""
+    dt = _float_dtype(inner, p) or np.int64
+    return np.concatenate(blocks, axis=-1, dtype=dt, casting="unsafe")
+
+
+def _times(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact ``a @ b`` for ``a`` with entries in [0, p) and ``b`` from
+    :func:`_lift`: unreduced in b's float dtype, or, when b is int64
+    (primes past float64), reduced mod p over Python integers."""
+    if b.dtype == np.int64:
+        return (a.astype(object) @ b.astype(object) % p).astype(np.int64)
+    return np.matmul(a.astype(b.dtype), b)
+
+
 def _mul_reduced(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """``a @ b`` mod p for int64 arrays whose entries are already in [0, p)."""
-    dt = _float_dtype(a.shape[-1], p)
-    if dt is None:  # object-free exact integer matmul (slow, never hit at desk scale)
-        return np.matmul(a, b) % p
-    return np.matmul(a.astype(dt), b.astype(dt)).astype(np.int64) % p
+    """``a @ b`` mod p for arrays whose entries are already in [0, p)."""
+    out = _times(a, _lift([b], p, a.shape[-1]), p).astype(np.int64, copy=False)
+    out %= p
+    return out
 
 
 def matvec(a, v, p: int) -> np.ndarray:
@@ -220,7 +246,9 @@ class Echelon:
     """Growing reduced row echelon basis of a subspace of F_p^n.
 
     Supports batch insertion with GEMM-based reduction, membership residuals
-    and coordinate extraction.  Used heavily by the spinning routines.
+    and coordinate extraction.  Used heavily by the spinning routines.  The
+    rows are kept, reduced, as int64 and, while they do not change, as the
+    float operand ``lifted_rows`` of every residual product.
     """
 
     def __init__(self, n: int, p: int):
@@ -228,20 +256,36 @@ class Echelon:
         self.p = p
         self.rows = np.zeros((0, n), dtype=np.int64)
         self.pivots: list[int] = []
+        self._lifted = None
 
     @property
     def dim(self) -> int:
         return len(self.pivots)
 
+    @property
+    def lifted_rows(self) -> np.ndarray:
+        """``rows`` as the right operand of :func:`_times` for inner
+        dimensions up to n; built on first use after the rows change."""
+        if self._lifted is None:
+            self._lifted = _lift([self.rows], self.p, self.n)
+        return self._lifted
+
+    def _cancel(self, w: np.ndarray) -> np.ndarray:
+        """w minus the combination of the rows given by its pivot entries,
+        mod p, for a matrix w with entries in [0, p); zero exactly on the
+        rows of w inside the span."""
+        if not self.dim:
+            return w
+        x = _times(w[:, self.pivots], self.lifted_rows, self.p).astype(np.int64, copy=False)
+        np.subtract(w, x, out=x)
+        x %= self.p
+        return x
+
     def residual(self, w: np.ndarray) -> np.ndarray:
         """Reduce row vectors against the current basis (no insertion)."""
         w = asmod(w, self.p)
         single = w.ndim == 1
-        if single:
-            w = w.reshape(1, -1)
-        if self.dim:
-            coef = w[:, self.pivots]
-            w = (w - _mul_reduced(coef, self.rows, self.p)) % self.p
+        w = self._cancel(w.reshape(1, -1) if single else w)
         return w[0] if single else w
 
     def add_rows(self, w: np.ndarray) -> np.ndarray:
@@ -257,12 +301,16 @@ class Echelon:
             # clear the new pivot columns from the old rows
             coef = self.rows[:, piv]
             if np.any(coef):
-                self.rows = (self.rows - _mul_reduced(coef, R, p)) % p
+                x = _times(coef, _lift([R], p, len(piv)), p).astype(np.int64, copy=False)
+                np.subtract(self.rows, x, out=x)
+                x %= p
+                self.rows = x
         self.rows = np.vstack([self.rows, R])
         self.pivots.extend(piv)
         order = np.argsort(self.pivots, kind="stable")
         self.rows = self.rows[order]
         self.pivots = [self.pivots[i] for i in order]
+        self._lifted = None
         return R
 
     def contains(self, w) -> bool:
@@ -274,8 +322,7 @@ class Echelon:
         single = w.ndim == 1
         if single:
             w = w.reshape(1, -1)
-        coef = w[:, self.pivots] if self.dim else np.zeros((w.shape[0], 0), dtype=np.int64)
-        rem = (w - _mul_reduced(coef, self.rows, self.p)) % self.p if self.dim else w
-        if np.any(rem):
+        coef = w[:, self.pivots]
+        if np.any(self._cancel(w)):
             raise NoSolution("vector outside the spanned subspace")
         return coef[0] if single else coef

@@ -11,6 +11,7 @@ method driven by a shared nullity-one word.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -30,38 +31,53 @@ DEFAULT_WORD_BUDGET = 64
 
 
 def spin(actions, seeds, p: int) -> linalg.Echelon:
-    """Smallest action-invariant subspace containing the seed row vectors."""
+    """Smallest action-invariant subspace containing the seed row vectors.
+
+    The actions must have entries in [0, p).  Each step takes the images of
+    the whole frontier under every generator with one product against the
+    block [A_1^T | ... | A_k^T], built once per call.
+    """
     d = actions[0].shape[0] if actions else np.asarray(seeds).shape[-1]
     ech = linalg.Echelon(d, p)
     seeds = np.asarray(seeds, dtype=np.int64).reshape(-1, d)
     frontier = ech.add_rows(seeds)
+    if not actions:
+        return ech
+    k = len(actions)
+    block = linalg._lift([A.T for A in actions], p, d)
     while frontier.shape[0] and ech.dim < d:
-        batches = [linalg.matmul(frontier, A.T, p) for A in actions]
-        frontier = ech.add_rows(np.vstack(batches)) if batches else np.zeros((0, d), dtype=np.int64)
+        f = frontier.shape[0]
+        prod = linalg._times(frontier, block, p)
+        # generator-major rows (the images under A_1, then A_2, ...), cast
+        # to int64 in the same pass; add_rows reduces them mod p
+        batch = np.empty((k, f, d), dtype=np.int64)
+        batch[...] = prod.reshape(f, k, d).transpose(1, 0, 2)
+        frontier = ech.add_rows(batch.reshape(k * f, d))
     return ech
 
 
 def restrict_actions(actions, ech: linalg.Echelon, p: int):
     """Action matrices on a spanned invariant subspace, in its row basis."""
-    B = ech.rows
+    Bt = ech.lifted_rows.T
     out = []
     for A in actions:
-        img = linalg.matmul(B, A.T, p)
+        # images of the basis rows, unreduced; coords reduces them once
+        img = linalg._times(A, Bt, p).T.astype(np.int64)
         coords = ech.coords(img)
         out.append(coords.T.copy())
     return out
 
+
 def quotient_actions(actions, ech: linalg.Echelon, p: int):
     """Action matrices on the quotient by a spanned invariant subspace."""
     d = actions[0].shape[0]
-    piv = ech.pivots
-    npiv = [c for c in range(d) if c not in set(piv)]
-    B = ech.rows
+    free = np.ones(d, dtype=bool)
+    free[ech.pivots] = False
+    npiv = np.flatnonzero(free).tolist()
     out = []
     for A in actions:
-        W = A[:, npiv].T % p          # images of representative vectors, as rows
-        if len(piv):
-            W = (W - linalg.matmul(W[:, piv], B, p)) % p
+        # images of the representative vectors, as rows, reduced modulo the span
+        W = ech.residual(A[:, npiv].T)
         out.append(W[:, npiv].T.copy())
     return out, npiv
 
@@ -667,22 +683,18 @@ def highest_weight_vectors(N: ModuleRep, lam) -> np.ndarray:
 
 
 def _line_representatives(rows: np.ndarray, p: int, cap: int = 1000):
-    """One representative per line of the row span (small spaces only)."""
+    """One representative per line of the row span (small spaces only).
+
+    Coefficient vectors c (of rows[0], rows[1], ...) are visited in the
+    order of the base-p number sum c_i p^i, and the one whose first nonzero
+    entry is 1 stands for its line.
+    """
     k = rows.shape[0]
-    total = (p ** k - 1) // (p - 1)
-    if total > cap:
-        total = cap
-    seen = set()
+    total = min((p ** k - 1) // (p - 1), cap)
     reps = []
-    count = 0
-    for t in range(1, p ** k):
-        digits = []
-        tt = t
-        for _ in range(k):
-            digits.append(tt % p)
-            tt //= p
-        # normalise: first nonzero digit = 1 picks one representative per line
-        lead = next(d for d in digits if d)
+    for rev in itertools.product(range(p), repeat=k):
+        digits = rev[::-1]
+        lead = next((c for c in digits if c), 0)
         if lead != 1:
             continue
         v = np.zeros(rows.shape[1], dtype=np.int64)
@@ -690,8 +702,7 @@ def _line_representatives(rows: np.ndarray, p: int, cap: int = 1000):
             if c:
                 v = (v + c * row) % p
         reps.append(v)
-        count += 1
-        if count >= total:
+        if len(reps) >= total:
             break
     return reps
 

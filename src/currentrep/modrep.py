@@ -9,6 +9,7 @@ constants, the p-power expansions and the reduction u^p = u^{[p]} + χ(u)
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass
 
@@ -114,16 +115,10 @@ def enumerate_lambda(chi: PChar):
         raise NeedsFieldExtension("degree-0 weight equations have no F_p solution")
     ker = linalg.kernel(A, p)
     out = []
-    counters = np.zeros(len(ker), dtype=np.int64)
-    total = p ** len(ker)
-    for t in range(total):
-        digits = []
-        tt = t
-        for _ in range(len(ker)):
-            digits.append(tt % p)
-            tt //= p
+    # coefficient vectors of the kernel rows in lexicographic order
+    for coeffs in itertools.product(range(p), repeat=len(ker)):
         v = part.copy()
-        for c, row in zip(reversed(digits), ker):
+        for c, row in zip(coeffs, ker):
             v = (v + c * row) % p
         rows = [tuple(int(x) for x in v)]
         for d in range(1, m + 1):

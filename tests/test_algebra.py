@@ -37,6 +37,23 @@ def test_descriptor_validation():
     assert alg.dim_z == 1 and SL2.dim_z == 0
 
 
+def test_descriptor_rejects_primes_past_int64_products():
+    # n (p-1)^2 >= 2^63: element products would wrap, so the descriptor
+    # refuses the prime instead of failing later with a bogus trace error
+    with pytest.raises(InvalidDescriptor):
+        AlgebraDescriptor("sl", 2, 4294967291, 1)
+    with pytest.raises(InvalidDescriptor):
+        AlgebraDescriptor("gl", 3, 2 ** 31 - 1, 0)
+    # 2 (p-1)^2 < 2^63 at p = 2^31 - 1: accepted, and products are exact
+    p = 2 ** 31 - 1
+    alg = AlgebraDescriptor("sl", 2, p, 1)
+    mat = [[p - 1, p - 2], [p - 3, 1]]
+    got = CurrentElement.from_matrix(alg, mat).mat_mult(CurrentElement.from_matrix(alg, mat))
+    want = [[sum(mat[r][t] * mat[t][s] for t in range(2)) % p for s in range(2)]
+            for r in range(2)]
+    assert got[0].tolist() == want and not got[1].any()
+
+
 def test_bracket_examples():
     assert bracket(Et, F) == Ht
     assert bracket(Et, Ft).is_zero()

@@ -118,3 +118,49 @@ def test_rref_matches_textbook_elimination(rows, cols, p):
     R1, p1 = linalg.rref(A, p)
     assert p1 == p0
     assert np.array_equal(R1, R0)
+
+
+def _py_mul(a, b, p):
+    """a @ b mod p over Python integers."""
+    return (np.asarray(a).astype(object) @ np.asarray(b).astype(object) % p).astype(np.int64)
+
+
+@pytest.mark.parametrize("p", [2 ** 31 - 1, 4294967291])
+def test_products_past_float64_are_exact(p):
+    # every entry p - 1: the sum 4 (p-1)^2 leaves int64 at p = 4294967291
+    a = np.full((2, 4), p - 1, dtype=np.int64)
+    b = np.full((4, 2), p - 1, dtype=np.int64)
+    assert linalg.matmul(a, b, p).tolist() == [[4, 4], [4, 4]]
+    rng = np.random.default_rng(p % 1000)
+    a = rng.integers(0, p, (5, 7))
+    b = rng.integers(0, p, (7, 3))
+    assert np.array_equal(linalg.matmul(a, b, p), _py_mul(a, b, p))
+    assert np.array_equal(linalg._mul_reduced(a, b, p), _py_mul(a, b, p))
+
+
+@pytest.mark.parametrize("p", [3, 131, 2 ** 31 - 1])
+def test_echelon_queries_between_insertions_match_a_fresh_basis(p):
+    # residual and coords run before and after every insertion, so a float
+    # copy of the rows that outlives an insertion shows up as a mismatch
+    rng = np.random.default_rng(p % 97)
+    n = 10
+    ech = linalg.Echelon(n, p)
+    inserted = []
+    for _ in range(4):
+        probe = rng.integers(0, p, (3, n))
+        before = ech.residual(probe)
+        batch = rng.integers(0, p, (2, n))
+        batch[:, -2:] = 0
+        ech.add_rows(batch)
+        inserted.append(batch)
+        fresh = linalg.Echelon(n, p)
+        fresh.add_rows(np.vstack(inserted))
+        assert ech.pivots == fresh.pivots
+        assert np.array_equal(ech.rows, fresh.rows)
+        assert np.array_equal(ech.residual(probe), fresh.residual(probe))
+        assert not np.array_equal(ech.residual(probe), before)
+        coef = rng.integers(0, p, (3, ech.dim))
+        assert np.array_equal(ech.coords(_py_mul(coef, ech.rows, p)), coef)
+        assert ech.contains(_py_mul(coef, ech.rows, p)[0])
+        with pytest.raises(NoSolution):
+            ech.coords(np.eye(n, dtype=np.int64)[-1])

@@ -5,11 +5,13 @@ import pytest
 
 from currentrep import linalg
 from currentrep.algebra import AlgebraDescriptor, CurrentElement, get_context
-from currentrep.errors import NotGraded, NotWeightModule
-from currentrep.meataxe import (SimpleCatalog, _standard_basis, are_isomorphic,
-                                chop, graded_character, head, head_general,
+from currentrep.errors import NoSolution, NotGraded, NotWeightModule
+from currentrep.meataxe import (SimpleCatalog, _line_representatives,
+                                _standard_basis, are_isomorphic, chop,
+                                graded_character, head, head_general,
                                 hom_space, invariant_subspace, is_irreducible,
-                                spin, submodule_rep, verma_intertwiner,
+                                quotient_actions, restrict_actions, spin,
+                                submodule_rep, verma_intertwiner,
                                 weight_character)
 from currentrep.modrep import (LambdaWeight, ModuleRep, build_baby_verma,
                                build_dual_verma, build_regular_module,
@@ -328,3 +330,102 @@ def test_standard_basis_matches_one_step_spin_and_replays():
     assert replay is not None and replay[1] == steps
     # a module of another dimension pattern departs from it
     assert _standard_basis(acts1, np.zeros(Z1.dim, dtype=np.int64), 3, steps) is None
+
+
+def _py_mul(a, b, p):
+    """a @ b mod p over Python integers."""
+    return (np.asarray(a).astype(object) @ np.asarray(b).astype(object) % p).astype(np.int64)
+
+
+def _reference_spin(actions, seeds, p):
+    """Span closed under the actions, one generator at a time, with products
+    over Python integers; (reduced echelon rows, pivots)."""
+    rows, piv = linalg.rref(seeds, p)
+    while True:
+        imgs = [_py_mul(rows, A.T, p) for A in actions]
+        grown, gpiv = linalg.rref(np.vstack([rows, *imgs]), p)
+        if len(gpiv) == len(piv):
+            return rows, piv
+        rows, piv = grown, gpiv
+
+
+def _reference_restrict(actions, rows, piv, p):
+    out = []
+    for A in actions:
+        img = _py_mul(rows, A.T, p)
+        coords = img[:, piv]
+        assert np.array_equal(_py_mul(coords, rows, p), img)
+        out.append(coords.T)
+    return out
+
+
+def _reference_quotient(actions, rows, piv, p):
+    npiv = [c for c in range(actions[0].shape[0]) if c not in piv]
+    out = []
+    for A in actions:
+        W = A[:, npiv].T % p
+        W = (W - _py_mul(W[:, piv], rows, p)) % p
+        out.append(W[:, npiv].T)
+    return out, npiv
+
+
+def _triangular_actions(d, k, split, p, rng):
+    """k random actions on F_p^d that leave P·span(e_1..e_split) invariant."""
+    while True:
+        P = rng.integers(0, p, (d, d))
+        try:
+            Pinv = linalg.inv(P, p)
+            break
+        except NoSolution:
+            pass
+    acts = []
+    for _ in range(k):
+        T = rng.integers(0, p, (d, d))
+        T[split:, :split] = 0
+        acts.append(_py_mul(_py_mul(P, T, p), Pinv, p))
+    return acts, P
+
+
+@pytest.mark.parametrize("p", [3, 5, 131, 2 ** 31 - 1])
+def test_spin_restrict_quotient_match_one_generator_reference(p):
+    # at p = 2^31 - 1 no float dtype holds the products (exact integer path)
+    d = 8
+    assert (linalg._float_dtype(d, p) is None) == (p > 131)
+    rng = np.random.default_rng(p % 101)
+    acts, P = _triangular_actions(d, 3, 3, p, rng)
+    inside = _py_mul(P[:, :3], rng.integers(0, p, (3, 1)), p).T
+    for seeds in [inside, rng.integers(0, p, (2, d)), np.zeros((0, d), dtype=np.int64)]:
+        ech = spin(acts, seeds, p)
+        rows, piv = _reference_spin(acts, seeds, p)
+        assert ech.pivots == piv
+        assert np.array_equal(ech.rows, rows)
+        if not 0 < ech.dim < d:
+            continue
+        for got, want in zip(restrict_actions(acts, ech, p),
+                             _reference_restrict(acts, rows, piv, p)):
+            assert np.array_equal(got, want)
+        got, npiv = quotient_actions(acts, ech, p)
+        want, want_npiv = _reference_quotient(acts, rows, piv, p)
+        assert npiv == want_npiv
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+    assert spin(acts, inside, p).dim == 3
+    # a subspace that is not invariant has no restriction
+    ech = linalg.Echelon(d, p)
+    ech.add_rows(np.eye(d, dtype=np.int64)[:2])
+    with pytest.raises(NoSolution):
+        restrict_actions(acts, ech, p)
+
+
+def test_line_representatives_order():
+    # coefficient vectors in the order of c_0 + 3 c_1 (+ 9 c_2), leading 1
+    got = _line_representatives(np.eye(2, dtype=np.int64), 3)
+    assert [v.tolist() for v in got] == [[1, 0], [0, 1], [1, 1], [1, 2]]
+    rows = np.array([[1, 0, 0, 1], [0, 1, 0, 2], [0, 0, 1, 1]])
+    got = _line_representatives(rows, 3)
+    assert len(got) == 13
+    assert [v.tolist() for v in got[:6]] == [[1, 0, 0, 1], [0, 1, 0, 2], [1, 1, 0, 0],
+                                             [1, 2, 0, 2], [0, 0, 1, 1], [1, 0, 1, 2]]
+    assert [v.tolist() for v in _line_representatives(rows, 3, cap=2)] == \
+        [[1, 0, 0, 1], [0, 1, 0, 2]]
+    assert _line_representatives(np.zeros((0, 4), dtype=np.int64), 3) == []

@@ -25,6 +25,14 @@ def test_enumerate_lambda_zero_char():
     assert all(all(v == 0 for v in l.values[1]) for l in lams)
 
 
+def test_enumerate_lambda_order():
+    # gl2 at χ = 0: every degree-0 weight in F_3^2, lexicographically
+    gl2 = AlgebraDescriptor("gl", 2, 3, 1)
+    lams = enumerate_lambda(PChar.zero(gl2))
+    assert [l.degree_zero for l in lams] == [(a, b) for a in range(3) for b in range(3)]
+    assert all(l.values[1] == (0, 0) for l in lams)
+
+
 def test_enumerate_lambda_nilpotent_char():
     lams = enumerate_lambda(pchar_from_element(E))
     assert [l.degree_zero for l in lams] == [(0,), (1,), (2,)]
