@@ -11,6 +11,7 @@ invariant form needed everywhere else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -150,10 +151,6 @@ class CurrentElement:
         """Associative product over R_m (raw coefficient stack, may leave sl)."""
         self._check(other)
         return _stack_mult(self.coeffs, other.coeffs, self.alg.p, self.alg.m)
-
-    def trace_poly(self) -> TruncPoly:
-        tr = self.coeffs.trace(axis1=1, axis2=2) % self.alg.p
-        return TruncPoly(tuple(int(c) for c in tr), self.alg.p, self.alg.m)
 
     def to_json_dict(self) -> dict:
         return {
@@ -547,7 +544,6 @@ def flatten_regular(x: CurrentElement) -> np.ndarray:
 
 
 def nilpotency_bound(alg: AlgebraDescriptor) -> int:
-    import math
     size = alg.n * (alg.m + 1)
     return max(1, math.ceil(math.log(size, alg.p))) + 1
 

@@ -12,6 +12,8 @@ import sys
 
 from .algebra import AlgebraDescriptor, CurrentElement, classify_element, centralizer_dim, is_regular
 from .errors import CurrentRepError, InvalidDescriptor, TooLarge
+from .meataxe import weight_character
+from .modrep import ModuleRep, check_module_axioms
 from .pchar import PChar, pchar_from_element, support_degree, pchar_jordan
 from .suites import SUITES, SuiteConfig, run_suite
 
@@ -60,8 +62,7 @@ def cmd_verify(args) -> int:
     try:
         cfg = SuiteConfig(kind=args.kind, n=args.n, p=args.p, m=args.m,
                           suite=args.suite, seed=args.seed, samples=args.samples,
-                          limit=args.limit, out_format=args.format,
-                          out_path=args.out, strict=args.strict)
+                          limit=args.limit)
         cfg.descriptor()
     except InvalidDescriptor as ex:
         print(f"usage error: {ex}", file=sys.stderr)
@@ -130,8 +131,6 @@ def cmd_inspect(args) -> int:
                                  "nilpotent_zero": nn.is_zero()}}, indent=2))
             return 0
         if args.entity == "module":
-            from .meataxe import weight_character
-            from .modrep import ModuleRep, check_module_axioms
             M = ModuleRep.from_json_dict(data)
             axioms = check_module_axioms(M)
             out = {"algebra": M.alg.label(), "dim": M.dim,

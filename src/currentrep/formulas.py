@@ -12,12 +12,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraDescriptor, CurrentElement, get_context
-from .errors import (BadCharacter, FormulaDomainError, InternalError,
-                     NeedsFieldExtension, OutOfScope, TooLarge)
-from .meataxe import SimpleCatalog, chop, head, is_irreducible
-from .modrep import LambdaWeight, build_baby_verma, enumerate_lambda
-from .pchar import PChar, standard_levi_form, pchar_from_element
+from .algebra import AlgebraDescriptor, CurrentElement, get_context, is_regular
+from .errors import (BadCharacter, FormulaDomainError, Inconclusive,
+                     InternalError, NeedsFieldExtension, OutOfScope, TooLarge)
+from .meataxe import (SimpleCatalog, are_isomorphic, chop, head, hom_space,
+                      is_irreducible)
+from .modrep import (LambdaWeight, build_baby_verma, build_regular_module,
+                     build_Zproj, enumerate_lambda)
+from .pchar import (PChar, pchar_from_element, random_pchar, stabilizer_dim,
+                    standard_levi_form, support_degree, truncate_pchar)
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +212,10 @@ class SimpleClassification:
     class_count: int
     predicted_count: int
 
-    @property
-    def matches_prediction(self) -> bool:
-        return self.class_count == self.predicted_count
-
 
 def classify_simples_homogeneous(chi: PChar, seed: int = 0) -> SimpleClassification:
     """Partition of Λ_χ by restriction to the centre of the Levi of the
     standard-Levi form of the (degree-reduced) character."""
-    from .pchar import support_degree, truncate_pchar
-
     alg = chi.alg
     k, hom = support_degree(chi)
     if hom is None or chi.is_zero():
@@ -329,20 +326,18 @@ class KWReport:
 
 
 def kw_defect(chi: PChar) -> int:
-    from .pchar import stabilizer_dim
     return chi.alg.dim_gm - stabilizer_dim(chi)
 
 
-def _endo_degree(S, hom_guard=2500):
+def _endo_degree(S):
     """Dimension of the endomorphism field of a simple module, or None."""
-    from .meataxe import hom_space
-    if S.dim * S.dim > hom_guard:
+    try:
+        return len(hom_space(S, S))
+    except TooLarge:
         return None
-    return len(hom_space(S, S, hom_guard))
 
 
 def _simple_factors_via_regular(chi: PChar, seed: int, limit: int):
-    from .modrep import build_regular_module
     U = build_regular_module(chi, limit=limit)
     cat = SimpleCatalog(seed=seed)
     series = chop(U, seed=seed, catalog=cat)
@@ -384,9 +379,6 @@ def kw_scan(alg: AlgebraDescriptor, samples: int, seed: int,
     divided by the verified endomorphism degree before the maximal-dimension
     comparison; the divisibility check applies to them unchanged.
     """
-    from .errors import Inconclusive
-    from .pchar import random_pchar, support_degree, truncate_pchar
-
     report = KWReport(alg.label(), samples, seed,
                       alg.p ** ((alg.m + 1) * alg.num_pos_roots), 0, False, [])
     full_chops = 0
@@ -452,7 +444,6 @@ def kw_scan(alg: AlgebraDescriptor, samples: int, seed: int,
 
 def _regular_semisimple_borel_witness(alg: AlgebraDescriptor, rng):
     """κ-dual of a toral element with regular degree-0 part and no top layer."""
-    from .algebra import is_regular
     ctx = get_context(alg)
     for _ in range(200):
         coeffs = np.zeros((alg.m + 1, alg.n, alg.n), dtype=np.int64)
@@ -506,9 +497,6 @@ def semisimple_character_audit(alg: AlgebraDescriptor, seed: int = 0,
     dimension count.  When that induced module is too large or cannot be
     built, ``projective_skip`` says why.
     """
-    from .meataxe import are_isomorphic
-    from .modrep import build_Zproj
-
     h_reg = _regular_degree0_toral(alg)
     if h_reg is None:
         raise OutOfScope("no regular degree-0 toral element for this descriptor")
@@ -541,7 +529,6 @@ def semisimple_character_audit(alg: AlgebraDescriptor, seed: int = 0,
 
 
 def _regular_degree0_toral(alg: AlgebraDescriptor):
-    from .algebra import is_regular
     # distinct diagonal entries mod p give a regular toral element when possible
     diag = list(range(alg.n))
     mat = np.diag(np.array(diag, dtype=np.int64) % alg.p)

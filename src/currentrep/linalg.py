@@ -294,7 +294,9 @@ class Echelon:
         w = self.residual(w)
         if w.ndim == 1:
             w = w.reshape(1, -1)
-        R, piv = rref(w, p)
+        # rows inside the span leave zero residuals; the reduced echelon form
+        # of the rest is the same
+        R, piv = rref(w[w.any(axis=1)], p)
         if not piv:
             return np.zeros((0, self.n), dtype=np.int64)
         if self.dim:

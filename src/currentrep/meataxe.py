@@ -2,11 +2,14 @@
 
 Submodules are subspaces spanned by echelonised row bases; spinning closes a
 seed set under the generator actions in batched BLAS steps.  Irreducibility
-uses random algebra words: a word of nullity one whose kernel vector spins to
-everything, and whose transpose kernel vector spins to everything under the
-transposed actions, certifies irreducibility; a proper spin on either side
-yields an invariant subspace.  Isomorphism testing is the standard-basis
-method driven by a shared nullity-one word.
+uses random algebra words w and irreducible polynomials f with
+nullity(f(w)) = deg f: the shifts x - c (Holt & Rees), and the quadratics
+that keep the test working when the endomorphism field is F_{p^2} and no
+word has a nullity-one shift (Ivanyos & Lux).  If a kernel vector of f(w)
+spins to everything, and a kernel vector of f(w)^T spins to everything
+under the transposed actions, the module is irreducible; a proper spin on
+either side yields an invariant subspace.  Isomorphism testing is the
+standard-basis method driven by such a kernel of a shared word.
 """
 
 from __future__ import annotations
@@ -23,7 +26,11 @@ from .errors import (AlgebraMismatch, BadCharacter, Inconclusive, InternalError,
                      NoSolution, NotGraded, NotWeightModule, TooLarge)
 from .modrep import ModuleRep, exps_of_rank
 
-DEFAULT_WORD_BUDGET = 64
+WORD_BUDGET = 64       # random words per search before Inconclusive
+SPIN_TRIES = 3         # kernel vectors spun when the kernel may be reducible
+MAX_RETRIES = 4        # fresh searches per node before chop gives up
+CHOP_LIMIT = 10 ** 6   # largest module chop accepts
+HOM_GUARD = 2500       # largest dim S * dim M that hom_space solves for
 
 
 # ---------------------------------------------------------------------------
@@ -127,58 +134,61 @@ def _eval_word(word, actions, p: int) -> np.ndarray:
     return out
 
 
-def _shift_kernels(w: np.ndarray, p: int):
-    """Kernels of the eigenvalue shifts w - cI with nonzero nullity, smallest
-    nullity first.  Shifting enormously raises the supply of nullity-one
-    algebra elements compared to raw random words."""
-    d = w.shape[0]
-    eye = np.eye(d, dtype=np.int64)
-    out = []
-    for c in range(p):
-        ker = linalg.kernel((w - c * eye) % p, p)
-        if 0 < ker.shape[0]:
-            out.append((ker.shape[0], c, ker))
-    out.sort(key=lambda t: (t[0], t[1]))
+def _poly_at(f, w: np.ndarray, p: int) -> np.ndarray:
+    """f(w) mod p for a polynomial f of degree at least one, given by its
+    ascending coefficients (Horner's rule)."""
+    eye = np.eye(w.shape[0], dtype=np.int64)
+    out = (f[-1] * w + f[-2] * eye) % p
+    for c in f[-3::-1]:
+        out = (linalg.matmul(out, w, p) + c * eye) % p
     return out
 
 
-def _irreducible_quadratics(p: int):
-    """Monic irreducible quadratics x^2 + a x + b over F_p."""
+def _shift_kernels(w: np.ndarray, p: int):
+    """(f, f(w), kernel) for the shifts f = x - c whose kernel is nonzero,
+    smallest nullity first, then by c.  Shifting enormously raises the
+    supply of nullity-one algebra elements compared to raw random words."""
     out = []
-    for a in range(p):
-        for b in range(p):
-            if all((c * c + a * c + b) % p for c in range(p)):
-                out.append((a, b))
+    for c in range(p):
+        f = ((-c) % p, 1)
+        fw = _poly_at(f, w, p)
+        ker = linalg.kernel(fw, p)
+        if ker.shape[0]:
+            out.append((f, fw, ker))
+    out.sort(key=lambda t: t[2].shape[0])  # stable: c stays ascending
     return out
 
 
 def _quadratic_kernels(w: np.ndarray, p: int):
-    """Kernels of q(w) for irreducible quadratics q with nullity exactly 2.
+    """(f, f(w), kernel) for the monic irreducible quadratics f whose kernel
+    has dimension exactly 2, produced one kernel at a time as they are read.
 
     Such a kernel is an irreducible module for the subalgebra generated by w,
     which re-enables the Norton certificate when the endomorphism field of
     the module is a quadratic extension (no nullity-one elements exist)."""
-    d = w.shape[0]
-    eye = np.eye(d, dtype=np.int64)
-    w2 = linalg.matmul(w, w, p)
-    out = []
-    for a, b in _irreducible_quadratics(p):
-        ker = linalg.kernel((w2 + a * w + b * eye) % p, p)
+    eye = np.eye(w.shape[0], dtype=np.int64)
+    w2 = None
+    for a, b in itertools.product(range(p), repeat=2):
+        if not all((c * c + a * c + b) % p for c in range(p)):
+            continue  # x^2 + a x + b has a root
+        if w2 is None:
+            w2 = linalg.matmul(w, w, p)
+        fw = (w2 + a * w + b * eye) % p
+        ker = linalg.kernel(fw, p)
         if ker.shape[0] == 2:
-            out.append((a, b, ker))
-    return out
+            yield (b, a, 1), fw, ker
 
 
-def _norton_transpose(transposed, f: np.ndarray, p: int):
+def _norton_transpose(transposed, fw: np.ndarray, p: int):
     """Transpose side of the Norton test for a word polynomial f(w).
 
     Spins a kernel vector of f(w)^T under the transposed actions.  None when
     it spins to everything: with a kernel vector of f(w) that spins to
     everything as well, the module is certified irreducible.  Otherwise the
-    annihilator of the transposed submodule, an invariant subspace.
+    annihilator of the transposed submodule, a proper invariant subspace.
     """
-    d = f.shape[0]
-    kerT = linalg.kernel(f.T, p)
+    d = fw.shape[0]
+    kerT = linalg.kernel(fw.T, p)
     subT = spin(transposed, kerT[0], p)
     if subT.dim == d:
         return None
@@ -187,57 +197,43 @@ def _norton_transpose(transposed, f: np.ndarray, p: int):
     return ech
 
 
-def find_invariant_subspace(actions, p: int, rng, word_budget=16,
-                            spin_tries=3):
-    """A proper invariant subspace (echelon) or None when certified irreducible."""
+def find_invariant_subspace(actions, p: int, rng):
+    """A proper invariant subspace (echelon) or None when certified irreducible.
+
+    Each random word w is searched in two stages of polynomials f: the
+    shifts x - c, then, while no proper submodule is known, the irreducible
+    quadratics.  A kernel with nullity(f(w)) = deg f is irreducible under w,
+    so one of its vectors spins to the same submodule as any other, and when
+    that spin and the transposed one are both full the module is certified
+    irreducible (Norton's test).
+    """
     d = actions[0].shape[0]
     if d <= 1:
         return None
-    eye = np.eye(d, dtype=np.int64)
     transposed = None
     best = None
-    for _ in range(word_budget):
+    for _ in range(WORD_BUDGET):
         w = _eval_word(_random_word(rng, len(actions), p), actions, p)
-        for k, c, ker in _shift_kernels(w, p):
-            all_full = True
-            for v in ker[:spin_tries]:
-                sub = spin(actions, v, p)
-                if sub.dim < d:
-                    all_full = False
-                    if d // 4 <= sub.dim <= 3 * d // 4:
-                        return sub
-                    if best is None or abs(sub.dim - d / 2) < abs(best.dim - d / 2):
-                        best = sub
-            if k == 1 and all_full and best is None:
-                if transposed is None:
-                    transposed = [A.T for A in actions]
-                ech = _norton_transpose(transposed, (w - c * eye) % p, p)
-                if ech is None:
-                    return None  # irreducible, certified
-                if 0 < ech.dim < d:
-                    return ech
-        if best is None:
-            # quadratic-extension certificate: kernels of irreducible
-            # quadratics with nullity two are w-irreducible, so the Norton
-            # argument applies verbatim
-            for a, b, ker in _quadratic_kernels(w, p):
-                sub = spin(actions, ker[0], p)
-                if 0 < sub.dim < d:
-                    if best is None or abs(sub.dim - d / 2) < abs(best.dim - d / 2):
-                        best = sub
-                    continue
-                if transposed is None:
-                    transposed = [A.T for A in actions]
-                q = (linalg.matmul(w, w, p) + a * w + b * eye) % p
-                ech = _norton_transpose(transposed, q, p)
-                if ech is None:
-                    return None  # irreducible, certified
-                if 0 < ech.dim < d:
-                    return ech
-        if best is not None:
-            return best
-    if best is not None:
-        return best
+        for stage in (_shift_kernels, _quadratic_kernels):
+            for f, fw, ker in stage(w, p):
+                certifying = ker.shape[0] == len(f) - 1
+                all_full = True
+                for v in ker[:1 if certifying else SPIN_TRIES]:
+                    sub = spin(actions, v, p)
+                    if sub.dim < d:
+                        all_full = False
+                        if d // 4 <= sub.dim <= 3 * d // 4:
+                            return sub
+                        if best is None or abs(sub.dim - d / 2) < abs(best.dim - d / 2):
+                            best = sub
+                if certifying and all_full and best is None:
+                    if transposed is None:
+                        transposed = [A.T for A in actions]
+                    return _norton_transpose(transposed, fw, p)
+                if best is not None and stage is _quadratic_kernels:
+                    break  # no quadratic kernel is computed once a split is known
+            if best is not None:
+                return best
     # last resort: direct spins of random vectors (catches scalar-acting algebras)
     for _ in range(8):
         v = rng.integers(0, p, size=d)
@@ -249,23 +245,22 @@ def find_invariant_subspace(actions, p: int, rng, word_budget=16,
     raise Inconclusive("no certificate or splitting found within the word budget")
 
 
-def _split_with_retries(actions, p: int, key: tuple, word_budget,
-                        max_retries: int = 4):
+def _split_with_retries(actions, p: int, key: tuple):
     """find_invariant_subspace under rngs seeded (*key, attempt), retried
     after Inconclusive; returns (subspace or None, failed attempts)."""
-    for attempt in range(max_retries):
+    for attempt in range(MAX_RETRIES):
         rng = np.random.default_rng((*key, attempt))
         try:
-            return find_invariant_subspace(actions, p, rng, word_budget), attempt
+            return find_invariant_subspace(actions, p, rng), attempt
         except Inconclusive:
             pass
-    raise Inconclusive(f"node of dim {actions[0].shape[0]} resisted {max_retries} retries")
+    raise Inconclusive(f"node of dim {actions[0].shape[0]} resisted {MAX_RETRIES} retries")
 
 
-def is_irreducible(M: ModuleRep, seed: int = 0, word_budget=DEFAULT_WORD_BUDGET) -> bool:
+def is_irreducible(M: ModuleRep, seed: int = 0) -> bool:
     acts = [M.action(i) for i in range(len(M.gens))]
     rng = np.random.default_rng((seed, 0xA11))
-    return find_invariant_subspace(acts, M.alg.p, rng, word_budget) is None
+    return find_invariant_subspace(acts, M.alg.p, rng) is None
 
 
 # ---------------------------------------------------------------------------
@@ -406,13 +401,14 @@ def _match_standard_basis(sbM, schedule, seeds, actsM, actsN, p):
     return False, None
 
 
-def are_isomorphic(M: ModuleRep, N: ModuleRep, seed: int = 0,
-                   word_budget=DEFAULT_WORD_BUDGET):
+def are_isomorphic(M: ModuleRep, N: ModuleRep, seed: int = 0):
     """(flag, witness): witness is an invertible intertwiner when flag is True.
 
-    Conclusive for modules generated by a nullity-one kernel vector (all
-    simples, baby Vermas and their duals); raises Inconclusive if no usable
-    word is found within the budget.
+    Conclusive for modules generated by a vector of a kernel with
+    nullity(f(w)) = deg f (all simples, baby Vermas and their duals): an
+    isomorphism maps that kernel onto the kernel of f at the same word in N,
+    so trying one vector per line of the latter decides.  Raises
+    Inconclusive if no usable word is found within the budget.
     """
     if M.alg != N.alg:
         raise AlgebraMismatch("modules live over different algebras")
@@ -430,40 +426,24 @@ def are_isomorphic(M: ModuleRep, N: ModuleRep, seed: int = 0,
     if all(np.array_equal(a, b) for a, b in zip(actsM, actsN)):
         return True, np.eye(M.dim, dtype=np.int64)
     rng = np.random.default_rng((seed, 0x150))
-    d = M.dim
-    eye = np.eye(d, dtype=np.int64)
-    for _ in range(word_budget):
+    for _ in range(WORD_BUDGET):
         word = _random_word(rng, len(actsM), p)
         wM = _eval_word(word, actsM, p)
         wN = None
-        for k, c, kerM in _shift_kernels(wM, p):
-            if k != 1:
-                break  # sorted ascending: no nullity-one shift for this word
-            sbM, schedule = _standard_basis(actsM, kerM[0], p)
-            if sbM.shape[0] != d:
-                continue  # kernel vector does not generate; try another shift
-            if wN is None:
-                wN = _eval_word(word, actsN, p)
-            kerN = linalg.kernel((wN - c * eye) % p, p)
-            if kerN.shape[0] != 1:
-                return False, None
-            return _match_standard_basis(sbM, schedule, kerN, actsM, actsN, p)
-        # quadratic-extension fallback: a two-dimensional irreducible kernel;
-        # an isomorphism must map it to its counterpart, so trying every line
-        # of the target kernel is conclusive when the seed generates
-        for a, b, kerM in _quadratic_kernels(wM, p):
-            sbM, schedule = _standard_basis(actsM, kerM[0], p)
-            if sbM.shape[0] != d:
+        for f, _fw, kerM in itertools.chain(_shift_kernels(wM, p), _quadratic_kernels(wM, p)):
+            if kerM.shape[0] != len(f) - 1:
                 continue
+            sbM, schedule = _standard_basis(actsM, kerM[0], p)
+            if sbM.shape[0] != M.dim:
+                continue  # kernel vector does not generate; try another f
             if wN is None:
                 wN = _eval_word(word, actsN, p)
-            wN2 = linalg.matmul(wN, wN, p)
-            kerN = linalg.kernel((wN2 + a * wN + b * eye) % p, p)
-            if kerN.shape[0] != 2:
+            kerN = linalg.kernel(_poly_at(f, wN, p), p)
+            if kerN.shape[0] != kerM.shape[0]:
                 return False, None
-            lines = [kerN[0]] + [(kerN[1] + cc * kerN[0]) % p for cc in range(p)]
-            return _match_standard_basis(sbM, schedule, lines, actsM, actsN, p)
-    raise Inconclusive("no nullity-one generating word found")
+            return _match_standard_basis(sbM, schedule, _line_representatives(kerN, p),
+                                         actsM, actsN, p)
+    raise Inconclusive("no generating word kernel found")
 
 
 # ---------------------------------------------------------------------------
@@ -520,25 +500,21 @@ class CompositionSeries:
                 return m
         return 0
 
-    def as_multiset(self):
-        return Counter(dict(self.factors))
-
     def to_json_dict(self):
         return {"factors": [{"label": s, "dim": self.dims[s], "mult": m}
                             for s, m in self.factors],
                 "seed": self.seed, "retries": self.retries}
 
 
-def chop(M: ModuleRep, seed: int = 0, limit: int = 10 ** 6,
-         catalog: SimpleCatalog | None = None, word_budget=DEFAULT_WORD_BUDGET,
-         max_retries: int = 4) -> CompositionSeries:
+def chop(M: ModuleRep, seed: int = 0,
+         catalog: SimpleCatalog | None = None) -> CompositionSeries:
     """Full composition series by recursive splitting.
 
     Deterministic given the seed; factors are matched into the catalog (a
     fresh one if none is supplied).  Σ mult · dim always equals dim M.
     """
-    if M.dim > limit:
-        raise TooLarge(f"chop limit {limit} exceeded by dim {M.dim}")
+    if M.dim > CHOP_LIMIT:
+        raise TooLarge(f"chop limit {CHOP_LIMIT} exceeded by dim {M.dim}")
     catalog = catalog if catalog is not None else SimpleCatalog(seed=seed)
     p = M.alg.p
     leaves = []
@@ -551,7 +527,7 @@ def chop(M: ModuleRep, seed: int = 0, limit: int = 10 ** 6,
         d = acts[0].shape[0]
         if d == 0:
             continue
-        sub, failed = _split_with_retries(acts, p, (seed, node), word_budget, max_retries)
+        sub, failed = _split_with_retries(acts, p, (seed, node))
         retries += failed
         if sub is None:
             leaves.append(acts)
@@ -574,8 +550,7 @@ def chop(M: ModuleRep, seed: int = 0, limit: int = 10 ** 6,
 # socles and heads
 
 
-def find_simple_submodule(M: ModuleRep, seed: int = 0,
-                          word_budget=DEFAULT_WORD_BUDGET) -> linalg.Echelon:
+def find_simple_submodule(M: ModuleRep, seed: int = 0) -> linalg.Echelon:
     """Descend through proper submodules until an irreducible one remains."""
     p = M.alg.p
     acts = [M.action(i) for i in range(len(M.gens))]
@@ -584,7 +559,7 @@ def find_simple_submodule(M: ModuleRep, seed: int = 0,
     basis.add_rows(np.eye(d, dtype=np.int64))
     level = 0
     while True:
-        sub, _ = _split_with_retries(acts, p, (seed, 0x50C, level), word_budget)
+        sub, _ = _split_with_retries(acts, p, (seed, 0x50C, level))
         if sub is None:
             return basis
         acts = restrict_actions(acts, sub, p)
@@ -610,10 +585,10 @@ def head(M: ModuleRep, seed: int = 0) -> ModuleRep:
     return quotient_rep(M, ech)
 
 
-def hom_space(S: ModuleRep, M: ModuleRep, hom_guard: int = 2500):
+def hom_space(S: ModuleRep, M: ModuleRep):
     """Basis of Hom(S, M) as matrices theta with theta ρ_S(g) = ρ_M(g) theta."""
-    if S.dim * M.dim > hom_guard:
-        raise TooLarge("hom-space solve exceeds the configured guard")
+    if S.dim * M.dim > HOM_GUARD:
+        raise TooLarge("hom-space solve exceeds the size guard")
     p = M.alg.p
     n_unknowns = S.dim * M.dim
     # iterate kernel intersection one generator at a time to bound memory
@@ -635,7 +610,7 @@ def hom_space(S: ModuleRep, M: ModuleRep, hom_guard: int = 2500):
     return out
 
 
-def socle_rows(M: ModuleRep, seed: int = 0, hom_guard: int = 2500) -> np.ndarray:
+def socle_rows(M: ModuleRep, seed: int = 0) -> np.ndarray:
     """Row basis of the socle: sum of images of all maps from the simples."""
     cat = SimpleCatalog(seed=seed)
     series = chop(M, seed=seed, catalog=cat)
@@ -643,7 +618,7 @@ def socle_rows(M: ModuleRep, seed: int = 0, hom_guard: int = 2500) -> np.ndarray
     p = M.alg.p
     for sid, _m in series.factors:
         S = cat.get(sid)
-        for theta in hom_space(S, M, hom_guard):
+        for theta in hom_space(S, M):
             for col in theta.T:
                 if np.any(col):
                     rows.append(col)
@@ -653,9 +628,9 @@ def socle_rows(M: ModuleRep, seed: int = 0, hom_guard: int = 2500) -> np.ndarray
     return ech.rows
 
 
-def head_general(M: ModuleRep, seed: int = 0, hom_guard: int = 2500) -> ModuleRep:
+def head_general(M: ModuleRep, seed: int = 0) -> ModuleRep:
     """M / rad(M) via the socle of the dual; guarded to moderate dimensions."""
-    rows = socle_rows(M.dual(), seed=seed, hom_guard=hom_guard)
+    rows = socle_rows(M.dual(), seed=seed)
     perp = linalg.kernel(rows, M.alg.p) if rows.shape[0] else np.zeros((0, M.dim), dtype=np.int64)
     ech = linalg.Echelon(M.dim, M.alg.p)
     if rows.shape[0] < M.dim:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import AlgebraDescriptor, get_context
+from .algebra import AlgebraDescriptor, CurrentElement, get_context
 from .errors import (BadCharacter, BadTwist, BadWeight, InternalError,
                      NeedsFieldExtension, NoSolution, TooLarge)
 from .pchar import PChar
@@ -564,7 +564,6 @@ def inflate(M: ModuleRep, target_m: int) -> ModuleRep:
     shift = target_m - alg.m
     coeffs = np.zeros((target_m + 1, alg.n, alg.n), dtype=np.int64)
     coeffs[shift:] = M.chi.dual.coeffs
-    from .algebra import CurrentElement
     chi_big = PChar(CurrentElement(tgt, coeffs))
     return ModuleRep(tgt, chi_big, gens, actions, weight_tags=M.weight_tags,
                      grading_tags=M.grading_tags, basis_labels=M.basis_labels)

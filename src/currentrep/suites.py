@@ -16,14 +16,16 @@ import numpy as np
 from . import linalg
 from .algebra import (AlgebraDescriptor, CurrentElement, bracket,
                       centralizer_dim, classify_element, get_context,
-                      is_nilpotent, is_regular, jordan_decompose, p_map,
-                      random_element)
+                      is_nilpotent, is_regular, jordan_decompose, kappa_m,
+                      p_map, random_element)
 from .errors import InternalError, TooLarge
-from .formulas import (blocks, cartan_formula, classify_simples_homogeneous,
-                       kostant_table, kw_scan, l_constants, pm_shift_sum,
-                       semisimple_character_audit, verma_mult_formula)
+from .formulas import (_regular_degree0_toral, blocks, cartan_formula,
+                       classify_simples_homogeneous, kostant_table, kw_scan,
+                       l_constants, pm_shift_sum, semisimple_character_audit,
+                       verma_mult_formula)
 from .meataxe import (SimpleCatalog, are_isomorphic, chop, graded_character,
-                      head, is_irreducible, spin)
+                      head, highest_weight_vectors, is_irreducible,
+                      quotient_rep, spin, submodule_rep, verma_intertwiner)
 from .modrep import (LambdaWeight, build_baby_verma, build_dual_verma,
                      build_regular_module, build_torus_projective,
                      build_Zproj, enumerate_lambda, inflate)
@@ -48,9 +50,6 @@ class SuiteConfig:
     seed: int = 7
     samples: int = 200
     limit: int = DEFAULT_LIMIT
-    out_format: str = "pretty"
-    out_path: str | None = None
-    strict: bool = False
 
     def descriptor(self) -> AlgebraDescriptor:
         return AlgebraDescriptor(self.kind, self.n, self.p, self.m)
@@ -145,7 +144,6 @@ def suite_structure(cfg: SuiteConfig) -> SuiteReport:
     for i in range(min(cfg.samples, 50)):
         rng = np.random.default_rng((cfg.seed, 105, i))
         x, y, z = (random_element(alg, rng) for _ in range(3))
-        from .algebra import kappa_m
         if kappa_m(bracket(x, y), z) != kappa_m(x, bracket(y, z)):
             bad_assoc += 1
     rep.add("invariant form is associative",
@@ -356,57 +354,33 @@ def suite_cartan(cfg: SuiteConfig) -> SuiteReport:
 
 
 def _zproj_filtration_multiplicities(Zp, alg, chi, lams, seed, limit):
-    """Count Verma sections of the torus-degree filtration of Z_proj."""
-    p = alg.p
+    """Count Verma sections of the torus-degree filtration of Z_proj.
+
+    The coordinates of t-degree at least d span the d-th submodule, so the
+    section at degree d acts on the coordinates of t-degree exactly d.
+    """
     tags = np.array(Zp.tdeg_tags)
     counts = Counter()
     maxdeg = int(tags.max()) if len(tags) else 0
     acts = [Zp.action(i) for i in range(len(Zp.gens))]
     vermas = {lam.degree_zero: build_baby_verma(chi, lam, limit=limit) for lam in lams}
+    dimZ = alg.p ** ((alg.m + 1) * alg.num_pos_roots)
     for d in range(maxdeg + 1):
-        keep = np.nonzero(tags >= d)[0]
-        inner = np.nonzero(tags >= d + 1)[0]
-        # tag-selected coordinates form a submodule chain; verify invariance
-        sub = linalg.Echelon(Zp.dim, p)
-        eye = np.eye(Zp.dim, dtype=np.int64)
-        sub.add_rows(eye[keep])
-        for A in acts:
-            img = linalg.matmul(sub.rows, A.T, p)
-            if not sub.contains(img):
-                raise InternalError("filtration subspace is not invariant")
-        acts_sub = [A[np.ix_(keep, keep)] for A in acts]
-        rel = np.searchsorted(keep, inner)
-        ech = linalg.Echelon(len(keep), p)
-        if len(inner):
-            eye2 = np.eye(len(keep), dtype=np.int64)
-            ech.add_rows(eye2[rel])
-        from .meataxe import quotient_actions
-        sec_acts, _ = quotient_actions(acts_sub, ech, p)
-        section = type(Zp)(alg, chi, Zp.gens, sec_acts)
-        dimZ = p ** ((alg.m + 1) * alg.num_pos_roots)
+        if any(np.any(A[np.ix_(tags < d, tags >= d)]) for A in acts):
+            raise InternalError("filtration subspace is not invariant")
+        level = tags == d
+        section = type(Zp)(alg, chi, Zp.gens, [A[np.ix_(level, level)] for A in acts])
         if section.dim == 0:
             continue
         if section.dim % dimZ:
             raise InternalError("section dimension is not a Verma multiple")
-        copies = section.dim // dimZ
-        if copies == 1:
-            from .meataxe import verma_intertwiner
-            for lam in lams:
-                w = lam.degree_zero
-                if verma_intertwiner(vermas[w], section, lam) is not None:
-                    counts[w] += 1
-                    break
-            else:
-                raise InternalError("section matched no baby Verma")
-        else:
-            # split the section into its Verma summands by spinning highest vectors
-            counts.update(_split_verma_section(section, vermas, alg, seed))
+        # split the section into its Verma summands by spinning highest vectors
+        counts.update(_split_verma_section(section, vermas, alg, seed))
     return counts
 
 
 def _split_verma_section(section, vermas, alg, seed):
     """Identify a direct sum of baby Vermas, peeling one summand at a time."""
-    from .meataxe import quotient_rep, verma_intertwiner
     counts = Counter()
     remaining = section
     while remaining.dim:
@@ -430,7 +404,6 @@ def _split_verma_section(section, vermas, alg, seed):
 
 
 def _find_verma_summand(M, vermas, alg, seed):
-    from .meataxe import submodule_rep, verma_intertwiner, highest_weight_vectors
     p = alg.p
     acts = [M.action(i) for i in range(len(M.gens))]
     for w, Z in vermas.items():
@@ -492,7 +465,6 @@ def _gl_partition_cases(alg):
 
 
 def _gl_classification_checks(rep, cfg, alg, emat, pname, limit):
-    from .meataxe import verma_intertwiner
     e = CurrentElement.from_matrix(alg, emat, 0)
     chi = pchar_from_element(e)
     cls = classify_simples_homogeneous(chi, seed=cfg.seed)
@@ -585,7 +557,6 @@ def suite_semisimple(cfg: SuiteConfig) -> SuiteReport:
     # decomposition certifies that the Borel-induced simples are all of them
     limit = effective_limit(cfg)
     if alg.p ** alg.dim_gm <= limit:
-        from .formulas import _regular_degree0_toral
         h_reg = _regular_degree0_toral(alg)
         chi = pchar_from_element(h_reg)
         cat = SimpleCatalog(seed=cfg.seed)

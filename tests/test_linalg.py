@@ -146,17 +146,22 @@ def test_echelon_queries_between_insertions_match_a_fresh_basis(p):
     n = 10
     ech = linalg.Echelon(n, p)
     inserted = []
-    for _ in range(4):
+    for i in range(4):
         probe = rng.integers(0, p, (3, n))
         before = ech.residual(probe)
         batch = rng.integers(0, p, (2, n))
         batch[:, -2:] = 0
+        if i == 2:
+            # zero rows, and a row whose residual is zero
+            batch = np.vstack([np.zeros((2, n), dtype=np.int64), batch, inserted[0][1:]])
         ech.add_rows(batch)
         inserted.append(batch)
         fresh = linalg.Echelon(n, p)
         fresh.add_rows(np.vstack(inserted))
         assert ech.pivots == fresh.pivots
         assert np.array_equal(ech.rows, fresh.rows)
+        R, piv = linalg.rref(np.vstack(inserted), p)
+        assert ech.pivots == piv and np.array_equal(ech.rows, R)
         assert np.array_equal(ech.residual(probe), fresh.residual(probe))
         assert not np.array_equal(ech.residual(probe), before)
         coef = rng.integers(0, p, (3, ech.dim))

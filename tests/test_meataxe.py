@@ -429,3 +429,30 @@ def test_line_representatives_order():
     assert [v.tolist() for v in _line_representatives(rows, 3, cap=2)] == \
         [[1, 0, 0, 1], [0, 1, 0, 2]]
     assert _line_representatives(np.zeros((0, 4), dtype=np.int64), 3) == []
+
+
+def test_quadratic_endomorphism_field_modules():
+    # h acting by the companion matrix of x^2 + 1, irreducible over F_3: no
+    # word of the algebra has an eigenvalue of nullity one, so irreducibility
+    # and isomorphism rest on the degree-2 kernels
+    p = 3
+    chi = PChar.zero(SL2_0)
+    h = [1]
+    C = np.array([[0, 2], [1, 0]])
+    P = np.array([[1, 1], [0, 1]])
+    M = ModuleRep(SL2_0, chi, h, [C])
+    assert is_irreducible(M)
+    Mc = ModuleRep(SL2_0, chi, h, [linalg.matmul(linalg.matmul(P, C, p), linalg.inv(P, p), p)])
+    flag, theta = are_isomorphic(M, Mc)
+    assert flag
+    assert linalg.rank(theta, p) == 2
+    assert np.array_equal(linalg.matmul(theta, M.action(0), p),
+                          linalg.matmul(Mc.action(0), theta, p))
+    # x^2 + x + 2 is irreducible as well, with other roots in F_9
+    Q = ModuleRep(SL2_0, chi, h, [np.array([[0, 1], [1, 2]])])
+    assert are_isomorphic(M, Q)[0] is False
+    CC = np.zeros((4, 4), dtype=np.int64)
+    CC[:2, :2] = CC[2:, 2:] = C
+    series = chop(ModuleRep(SL2_0, chi, h, [CC]))
+    assert [m for _s, m in series.factors] == [2]
+    assert list(series.dims.values()) == [2]
