@@ -145,22 +145,21 @@ def _poly_at(f, w: np.ndarray, p: int) -> np.ndarray:
 
 
 def _shift_kernels(w: np.ndarray, p: int):
-    """(f, f(w), kernel) for the shifts f = x - c whose kernel is nonzero,
+    """(f, kernel of f(w)) for the shifts f = x - c whose kernel is nonzero,
     smallest nullity first, then by c.  Shifting enormously raises the
     supply of nullity-one algebra elements compared to raw random words."""
     out = []
     for c in range(p):
         f = ((-c) % p, 1)
-        fw = _poly_at(f, w, p)
-        ker = linalg.kernel(fw, p)
+        ker = linalg.kernel(_poly_at(f, w, p), p)
         if ker.shape[0]:
-            out.append((f, fw, ker))
-    out.sort(key=lambda t: t[2].shape[0])  # stable: c stays ascending
+            out.append((f, ker))
+    out.sort(key=lambda t: t[1].shape[0])  # stable: c stays ascending
     return out
 
 
 def _quadratic_kernels(w: np.ndarray, p: int):
-    """(f, f(w), kernel) for the monic irreducible quadratics f whose kernel
+    """(f, kernel of f(w)) for the monic irreducible quadratics f whose kernel
     has dimension exactly 2, produced one kernel at a time as they are read.
 
     Such a kernel is an irreducible module for the subalgebra generated by w,
@@ -173,10 +172,9 @@ def _quadratic_kernels(w: np.ndarray, p: int):
             continue  # x^2 + a x + b has a root
         if w2 is None:
             w2 = linalg.matmul(w, w, p)
-        fw = (w2 + a * w + b * eye) % p
-        ker = linalg.kernel(fw, p)
+        ker = linalg.kernel((w2 + a * w + b * eye) % p, p)
         if ker.shape[0] == 2:
-            yield (b, a, 1), fw, ker
+            yield (b, a, 1), ker
 
 
 def _norton_transpose(transposed, fw: np.ndarray, p: int):
@@ -215,7 +213,7 @@ def find_invariant_subspace(actions, p: int, rng):
     for _ in range(WORD_BUDGET):
         w = _eval_word(_random_word(rng, len(actions), p), actions, p)
         for stage in (_shift_kernels, _quadratic_kernels):
-            for f, fw, ker in stage(w, p):
+            for f, ker in stage(w, p):
                 certifying = ker.shape[0] == len(f) - 1
                 all_full = True
                 for v in ker[:1 if certifying else SPIN_TRIES]:
@@ -229,7 +227,7 @@ def find_invariant_subspace(actions, p: int, rng):
                 if certifying and all_full and best is None:
                     if transposed is None:
                         transposed = [A.T for A in actions]
-                    return _norton_transpose(transposed, fw, p)
+                    return _norton_transpose(transposed, _poly_at(f, w, p), p)
                 if best is not None and stage is _quadratic_kernels:
                     break  # no quadratic kernel is computed once a split is known
             if best is not None:
@@ -430,7 +428,7 @@ def are_isomorphic(M: ModuleRep, N: ModuleRep, seed: int = 0):
         word = _random_word(rng, len(actsM), p)
         wM = _eval_word(word, actsM, p)
         wN = None
-        for f, _fw, kerM in itertools.chain(_shift_kernels(wM, p), _quadratic_kernels(wM, p)):
+        for f, kerM in itertools.chain(_shift_kernels(wM, p), _quadratic_kernels(wM, p)):
             if kerM.shape[0] != len(f) - 1:
                 continue
             sbM, schedule = _standard_basis(actsM, kerM[0], p)

@@ -328,16 +328,19 @@ def suite_cartan(cfg: SuiteConfig) -> SuiteReport:
         rep.skip("regular module audit", str(ex))
 
     # Z_proj filtration: (Z_proj(lambda) : Z(mu)) = delta * p^{m r}
-    for w1 in weights:
-        lam = LambdaWeight.from_degree_zero(w1, alg)
-        Zp = build_Zproj(chi, lam, limit=limit)
-        counts = _zproj_filtration_multiplicities(Zp, alg, chi, lams, cfg.seed, limit)
-        expected = {w2: (alg.p ** (alg.m * alg.rank) if w2 == w1 else 0) for w2 in weights}
-        rep.add(f"baby Verma filtration multiplicities of the induced projective at {w1}",
-                "(Z_proj(λ):Z(μ)) = δ_{λ,μ} p^{m rank(g)}",
-                {"weight": list(w1)},
-                [expected[w] for w in weights],
-                [counts.get(w, 0) for w in weights], cfg.seed)
+    try:
+        for w1 in weights:
+            lam = LambdaWeight.from_degree_zero(w1, alg)
+            Zp = build_Zproj(chi, lam, limit=limit)
+            counts = _zproj_filtration_multiplicities(Zp, alg, chi, lams, cfg.seed, limit)
+            expected = {w2: (alg.p ** (alg.m * alg.rank) if w2 == w1 else 0) for w2 in weights}
+            rep.add(f"baby Verma filtration multiplicities of the induced projective at {w1}",
+                    "(Z_proj(λ):Z(μ)) = δ_{λ,μ} p^{m rank(g)}",
+                    {"weight": list(w1)},
+                    [expected[w] for w in weights],
+                    [counts.get(w, 0) for w in weights], cfg.seed)
+    except TooLarge as ex:
+        rep.skip("baby Verma filtration multiplicities of the induced projective", str(ex))
 
     # dual baby Vermas have the same factors
     for w in weights:

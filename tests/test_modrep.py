@@ -4,15 +4,18 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from currentrep import modrep
 from currentrep.algebra import AlgebraDescriptor, CurrentElement, get_context
 from currentrep.errors import (BadCharacter, BadWeight, NeedsFieldExtension,
-                               TooLarge)
+                               OutOfScope, TooLarge)
 from currentrep.modrep import (LambdaWeight, build_baby_verma,
-                               build_dual_verma, build_regular_module,
-                               build_torus_projective, build_Zproj,
-                               check_module_axioms, enumerate_lambda, inflate,
+                               build_dual_verma, build_induced,
+                               build_regular_module, build_torus_projective,
+                               build_Zproj, check_module_axioms,
+                               enumerate_lambda, inflate, one_dim_base,
                                solve_twist_weight, twist_module)
 from currentrep.pchar import PChar, pchar_from_element
+from currentrep.suites import SuiteConfig, run_suite
 
 SL2 = AlgebraDescriptor("sl", 2, 3, 1)
 E = CurrentElement.from_matrix(SL2, [[0, 1], [0, 0]])
@@ -248,3 +251,96 @@ def test_p_centre_acts_by_chi_on_random_elements():
             lhs = (linalg.matpow(rho_x, 3, 3) - rho_xp) % 3
             scalar = chi(x) % 3
             assert np.array_equal(lhs, scalar * np.eye(Z.dim, dtype=np.int64) % 3)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_sl2_baby_verma_closed_form(p):
+    # basis v_i = f^i ⊗ 1: f v_i = v_{i+1}, f v_{p-1} = χ(f) v_0,
+    # h v_i = (λ - 2i) v_i, e v_i = i(λ - i + 1) v_{i-1}
+    alg = AlgebraDescriptor("sl", 2, p, 0)
+    ctx = get_context(alg)
+    (e,), (f,), (h,) = ctx.nplus_indices, ctx.nminus_indices, ctx.torus_indices
+    for c in (0, 1, p - 1):
+        chi = pchar_from_element(CurrentElement.from_matrix(alg, [[0, c], [0, 0]]))
+        assert int(chi.coords(ctx)[f]) == c
+        for lam in enumerate_lambda(chi):
+            Z = build_baby_verma(chi, lam)
+            l0 = lam.degree_zero[0]
+            E, F, H = (np.zeros((p, p), dtype=np.int64) for _ in range(3))
+            for i in range(p):
+                F[(i + 1) % p, i] = 1 if i < p - 1 else c
+                H[i, i] = (l0 - 2 * i) % p
+                if i:
+                    E[i - 1, i] = i * (l0 - i + 1) % p
+            slots = {g: i for i, g in enumerate(Z.gens)}
+            for g, want in ((e, E), (f, F), (h, H)):
+                assert np.array_equal(Z.action(slots[g]), want)
+
+
+def _same_module(M, N):
+    return (M.gens == N.gens and M.weight_tags == N.weight_tags
+            and M.grading_tags == N.grading_tags and M.tdeg_tags == N.tdeg_tags
+            and M.basis_labels == N.basis_labels
+            and all(a.dtype == b.dtype and np.array_equal(a, b)
+                    for a, b in zip(M.actions, N.actions)))
+
+
+def test_normal_form_tables_are_shared_and_read_only(monkeypatch):
+    tables = []
+    cached = modrep._normal_form_tables
+
+    def recording(*key):
+        out = cached(*key)
+        tables.append(out)
+        return out
+
+    monkeypatch.setattr(modrep, "_normal_form_tables", recording)
+    chi = PChar.zero(SL2)
+    lams = enumerate_lambda(chi)
+    other = PChar.zero(AlgebraDescriptor("gl", 2, 3, 1))
+    builders = [
+        lambda: build_baby_verma(chi, lams[0], gamma=(0, 0)),
+        lambda: build_baby_verma(chi, lams[2]),
+        lambda: build_baby_verma(pchar_from_element(E), lams[1]),
+        lambda: build_dual_verma(lams[1], SL2),
+        lambda: build_Zproj(chi, lams[1]),
+        lambda: build_torus_projective(chi, lams[2]),
+        lambda: build_regular_module(chi),
+    ]
+    for build in builders:
+        cached.cache_clear()
+        cold = build()
+        warm = build()
+        build_baby_verma(other, enumerate_lambda(other)[0])
+        after = build()
+        assert _same_module(cold, warm) and _same_module(cold, after)
+    assert tables
+    for table in tables:
+        for arrays in table.values():
+            assert all(not x.flags.writeable for x in arrays)
+
+
+def test_induction_needs_a_restricted_complement():
+    # {e, f} is not closed under the bracket: [e, f] = h
+    alg = AlgebraDescriptor("sl", 2, 3, 0)
+    ctx = get_context(alg)
+    (e,), (f,), (h,) = ctx.nplus_indices, ctx.nminus_indices, ctx.torus_indices
+    with pytest.raises(OutOfScope):
+        build_induced(PChar.zero(alg), [e, f], one_dim_base([h], {h: 0}))
+
+
+def test_zproj_checks_the_limit_before_building(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("torus projective built past the limit")
+
+    monkeypatch.setattr(modrep, "build_torus_projective", refuse)
+    chi = PChar.zero(SL2)
+    with pytest.raises(TooLarge):
+        build_Zproj(chi, enumerate_lambda(chi)[0], limit=20)
+
+
+def test_cartan_skips_zproj_over_the_limit():
+    rep = run_suite(SuiteConfig(kind="sl", n=2, p=5, m=2, suite="cartan"))
+    assert {"claim": "baby Verma filtration multiplicities of the induced projective",
+            "reason": "module dimension 3125 exceeds limit 2000"} in rep.skipped
+    assert rep.passed
