@@ -86,7 +86,12 @@ class AlgebraDescriptor:
 
 
 class CurrentElement:
-    """Element of g_m: coefficient stack of shape (m+1, n, n) over F_p."""
+    """Element of g_m: coefficient stack of shape (m+1, n, n) over F_p.
+
+    The public constructor reduces its input and checks the shape and, for
+    sl, the trace.  Results of arithmetic on valid elements are valid by
+    construction and go through :meth:`_trusted`, which checks nothing.
+    """
 
     __slots__ = ("alg", "coeffs")
 
@@ -100,6 +105,15 @@ class CurrentElement:
             if np.any(tr):
                 raise ValueError("sl element must have traceless coefficient matrices")
         self.coeffs = arr
+
+    @classmethod
+    def _trusted(cls, alg: AlgebraDescriptor, coeffs: np.ndarray) -> "CurrentElement":
+        """Element from an int64 stack of the right shape with entries in
+        [0, p) (and traceless coefficients for sl), taken as it is."""
+        out = object.__new__(cls)
+        out.alg = alg
+        out.coeffs = coeffs
+        return out
 
     @classmethod
     def zero(cls, alg: AlgebraDescriptor) -> "CurrentElement":
@@ -119,17 +133,17 @@ class CurrentElement:
 
     def __add__(self, other):
         self._check(other)
-        return CurrentElement(self.alg, self.coeffs + other.coeffs)
+        return CurrentElement._trusted(self.alg, (self.coeffs + other.coeffs) % self.alg.p)
 
     def __sub__(self, other):
         self._check(other)
-        return CurrentElement(self.alg, self.coeffs - other.coeffs)
+        return CurrentElement._trusted(self.alg, (self.coeffs - other.coeffs) % self.alg.p)
 
     def __neg__(self):
-        return CurrentElement(self.alg, -self.coeffs)
+        return CurrentElement._trusted(self.alg, -self.coeffs % self.alg.p)
 
     def scale(self, c: int) -> "CurrentElement":
-        return CurrentElement(self.alg, self.coeffs * (c % self.alg.p))
+        return CurrentElement._trusted(self.alg, self.coeffs * (c % self.alg.p) % self.alg.p)
 
     def is_zero(self) -> bool:
         return not np.any(self.coeffs)
@@ -172,8 +186,8 @@ class CurrentElement:
 
 
 def bracket(x: CurrentElement, y: CurrentElement) -> CurrentElement:
-    """Lie bracket [x, y] = xy - yx over R_m."""
-    return CurrentElement(x.alg, x.mat_mult(y) - y.mat_mult(x))
+    """Lie bracket [x, y] = xy - yx over R_m (traceless, so valid for sl)."""
+    return CurrentElement._trusted(x.alg, (x.mat_mult(y) - y.mat_mult(x)) % x.alg.p)
 
 
 @lru_cache(maxsize=None)
@@ -200,13 +214,14 @@ def p_map(x: CurrentElement) -> CurrentElement:
     """Restricted p-operation: the p-th matrix power over R_m.
 
     The graded rule (y t^i)^{[p]} = y^{[p]} t^{pi} is a consequence, checked
-    in the test suite rather than assumed.
+    in the test suite rather than assumed.  In characteristic p the trace of
+    x^p is (tr x)^p, so the power of an sl element stays in sl.
     """
     alg = x.alg
     out = x.coeffs
     for _ in range(alg.p - 1):
         out = _stack_mult(out, x.coeffs, alg.p, alg.m)
-    return CurrentElement(alg, out)
+    return CurrentElement._trusted(alg, out)
 
 
 def kappa_m(x: CurrentElement, y: CurrentElement) -> int:
@@ -362,7 +377,7 @@ class LieContext:
         for k, c in enumerate(v):
             if c:
                 coeffs += c * self.basis[k].coeffs
-        return CurrentElement(self.alg, coeffs % self.alg.p)
+        return CurrentElement._trusted(self.alg, coeffs % self.alg.p)
 
     # -- cached structure data ---------------------------------------------
 

@@ -7,14 +7,19 @@ mantissa capacity, which is checked on every call, and past float64 the
 product is taken over Python integers.  Row reduction is a vectorised
 Gauss-Jordan elimination.
 
-Reduce once: the public functions (``matmul``, ``matvec``, ``matpow``,
-``rref``, ``rank``, ``kernel``, ``solve``, ``inv`` and the ``Echelon``
-methods) reduce their arguments mod p on entry and return int64 arrays with
-entries in [0, p).  The private helpers (``_mul_reduced``, ``_lift``,
-``_times``, ``_rref_naive``, ``_rref_blocked``, ``Echelon._cancel``) trust
-their input to be in range and never reduce it again; so does
-``meataxe.spin`` for its action matrices.  ``asmod`` always returns a copy,
-which ``rref`` then overwrites in place.
+Reduce once: the public functions (``matmul``, ``matpow``, ``rref``,
+``rank``, ``kernel``, ``joint_kernel``, ``solve``, ``inv`` and the
+``Echelon`` methods) reduce their arguments mod p on entry and return int64
+arrays with entries in [0, p).  The private helpers (``_mul_reduced``,
+``_lift``, ``_times``, ``_rref_naive``, ``_rref_blocked``,
+``Echelon._cancel``) trust their input to be in range and never reduce it
+again.  Module actions are reduced once, where ``modrep.ModuleRep`` stores
+them; that is the trusted boundary.  Each module then lifts its actions once
+into an :class:`ActionStack`, the read-only stack [A_1^T | ... | A_k^T] in
+the exact dtype of ``_lift``, and every product with its actions (spins,
+standard bases, words, intertwiner checks, restrictions and quotients) is
+taken against that stack.  ``asmod`` always returns a copy, which ``rref``
+then overwrites in place.
 """
 
 from __future__ import annotations
@@ -25,11 +30,25 @@ from .errors import NoSolution
 
 _F32_CAP = 2 ** 24  # exact integer range of float32
 _F64_CAP = 2 ** 53  # exact integer range of float64
+_SMALL_MOD = 2048   # entries below which asmod takes a plain remainder
 
 
 def asmod(a, p: int) -> np.ndarray:
-    """Coerce to an int64 array with entries reduced into [0, p)."""
-    return np.asarray(a, dtype=np.int64) % p
+    """A fresh int64 array with the entries of ``a`` reduced into [0, p).
+
+    On large arrays the remainder runs only when some entry lies outside
+    [0, p), since checking the range costs a small fraction of it, and it is
+    taken as a - (a // p) p, which numpy computes about twice as fast as
+    ``%``.  Below _SMALL_MOD entries one ``%`` costs less than those calls.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    if a.size < _SMALL_MOD:
+        return a % p
+    if a.view(np.uint64).max() < p:  # a negative entry reads as 2^63 or more
+        return a.copy()
+    q = a // p
+    q *= p
+    return np.subtract(a, q, out=q)
 
 
 def matmul(a, b, p: int) -> np.ndarray:
@@ -69,10 +88,6 @@ def _mul_reduced(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     out = _times(a, _lift([b], p, a.shape[-1]), p).astype(np.int64, copy=False)
     out %= p
     return out
-
-
-def matvec(a, v, p: int) -> np.ndarray:
-    return matmul(a, np.asarray(v).reshape(-1, 1), p).ravel()
 
 
 def matpow(a, k: int, p: int) -> np.ndarray:
@@ -208,6 +223,24 @@ def kernel(a, p: int) -> np.ndarray:
     return out
 
 
+def joint_kernel(mats, p: int) -> np.ndarray:
+    """Basis of the common right null space of one or more matrices, the
+    same basis that ``kernel(np.vstack(mats))`` returns.
+
+    The kernels are intersected one matrix at a time, so each elimination
+    sees one matrix restricted to the space left so far.  The reduced
+    echelon basis of the result with its columns reversed has its pivots on
+    the free columns; read back in the original order, that is the basis in
+    reduced echelon shape with respect to the free columns.
+    """
+    K = kernel(mats[0], p)
+    for a in mats[1:]:
+        if not K.shape[0]:
+            break
+        K = matmul(kernel(matmul(a, K.T, p), p), K, p)
+    return rref(K[:, ::-1], p)[0][::-1, ::-1]
+
+
 def solve(a, b, p: int) -> np.ndarray:
     """Solve ``a @ x = b`` exactly; raises :class:`NoSolution` if inconsistent.
 
@@ -328,3 +361,49 @@ class Echelon:
         if np.any(self._cancel(w)):
             raise NoSolution("vector outside the spanned subspace")
         return coef[0] if single else coef
+
+
+class ActionStack:
+    """k actions A_1, ..., A_k on F_p^d (acting on column vectors), lifted once.
+
+    ``lifted`` is the read-only (k, d, d) array of the transposes A_i^T, the
+    blocks of [A_1^T | ... | A_k^T], in the dtype of :func:`_lift` for inner
+    dimensions up to max(d, k): int64 once no float dtype is exact.  Row
+    vectors times ``lifted`` are their images under every action, generator
+    by generator, in one product.  The actions must have entries in [0, p).
+    """
+
+    def __init__(self, actions, p: int):
+        k, d = len(actions), np.shape(actions[0])[0]
+        lifted = np.empty((k, d, d), dtype=_float_dtype(max(d, k), p) or np.int64)
+        for At, A in zip(lifted, actions):
+            At[...] = np.asarray(A).T
+        lifted.flags.writeable = False
+        self.lifted = lifted
+        self.p = p
+        self.k = k
+        self.d = d
+
+    def __len__(self) -> int:
+        return self.k
+
+    def __iter__(self):
+        """The actions, as fresh int64 matrices."""
+        for At in self.lifted:
+            yield At.T.astype(np.int64, order="C")
+
+    def images(self, rows: np.ndarray) -> np.ndarray:
+        """(k, r, d): the images A_i v of the rows v of ``rows`` (entries in
+        [0, p)), as rows, unreduced in the stack's float dtype, or reduced
+        int64 past float64."""
+        return _times(rows, self.lifted, self.p)
+
+    def combination(self, coeffs) -> np.ndarray:
+        """Σ c_i A_i mod p as an int64 matrix, one contraction of the stack."""
+        d, k, p = self.d, self.k, self.p
+        c = np.asarray(coeffs, dtype=np.int64).reshape(1, k) % p
+        return asmod(_times(c, self.lifted.reshape(k, d * d), p).reshape(d, d).T, p)
+
+    def transposed(self) -> "ActionStack":
+        """The stack of A_1^T, ..., A_k^T."""
+        return ActionStack(list(self.lifted), self.p)

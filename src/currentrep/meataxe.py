@@ -23,89 +23,89 @@ import numpy as np
 from . import linalg
 from .algebra import get_context
 from .errors import (AlgebraMismatch, BadCharacter, Inconclusive, InternalError,
-                     NoSolution, NotGraded, NotWeightModule, TooLarge)
-from .modrep import ModuleRep, exps_of_rank
+                     NotGraded, NotWeightModule, TooLarge)
+from .modrep import ModuleRep
 
 WORD_BUDGET = 64       # random words per search before Inconclusive
 SPIN_TRIES = 3         # kernel vectors spun when the kernel may be reducible
 MAX_RETRIES = 4        # fresh searches per node before chop gives up
 CHOP_LIMIT = 10 ** 6   # largest module chop accepts
 HOM_GUARD = 2500       # largest dim S * dim M that hom_space solves for
+SWEEP_ROWS = 64        # basis rows whose images _standard_basis takes in one product
 
 
 # ---------------------------------------------------------------------------
 # subspace machinery
 
 
+def _as_stack(actions, p: int) -> linalg.ActionStack:
+    """The actions as a lifted stack; matrices (entries in [0, p)) are lifted."""
+    return actions if isinstance(actions, linalg.ActionStack) else linalg.ActionStack(actions, p)
+
+
 def spin(actions, seeds, p: int) -> linalg.Echelon:
     """Smallest action-invariant subspace containing the seed row vectors.
 
-    The actions must have entries in [0, p).  Each step takes the images of
+    ``actions`` is an :class:`~currentrep.linalg.ActionStack`, or matrices
+    with entries in [0, p), lifted into one.  Each step takes the images of
     the whole frontier under every generator with one product against the
-    block [A_1^T | ... | A_k^T], built once per call.
+    stack [A_1^T | ... | A_k^T].
     """
-    d = actions[0].shape[0] if actions else np.asarray(seeds).shape[-1]
+    seeds = np.asarray(seeds, dtype=np.int64)
+    d = seeds.shape[-1]
     ech = linalg.Echelon(d, p)
-    seeds = np.asarray(seeds, dtype=np.int64).reshape(-1, d)
-    frontier = ech.add_rows(seeds)
-    if not actions:
+    frontier = ech.add_rows(seeds.reshape(-1, d))
+    if not len(actions):
         return ech
-    k = len(actions)
-    block = linalg._lift([A.T for A in actions], p, d)
+    stack = _as_stack(actions, p)
+    k = stack.k
     while frontier.shape[0] and ech.dim < d:
-        f = frontier.shape[0]
-        prod = linalg._times(frontier, block, p)
-        # generator-major rows (the images under A_1, then A_2, ...), cast
-        # to int64 in the same pass; add_rows reduces them mod p
-        batch = np.empty((k, f, d), dtype=np.int64)
-        batch[...] = prod.reshape(f, k, d).transpose(1, 0, 2)
-        frontier = ech.add_rows(batch.reshape(k * f, d))
+        # generator-major rows (the images under A_1, then A_2, ...);
+        # add_rows reduces them mod p
+        batch = stack.images(frontier).astype(np.int64, copy=False)
+        frontier = ech.add_rows(batch.reshape(k * frontier.shape[0], d))
     return ech
 
 
-def restrict_actions(actions, ech: linalg.Echelon, p: int):
-    """Action matrices on a spanned invariant subspace, in its row basis."""
-    Bt = ech.lifted_rows.T
-    out = []
-    for A in actions:
-        # images of the basis rows, unreduced; coords reduces them once
-        img = linalg._times(A, Bt, p).T.astype(np.int64)
-        coords = ech.coords(img)
-        out.append(coords.T.copy())
-    return out
+def restrict_actions(actions, ech: linalg.Echelon, p: int) -> linalg.ActionStack:
+    """Actions on a spanned invariant subspace, in its row basis."""
+    # images of the basis rows under every action in one product, unreduced;
+    # coords reduces them once.  Row r of the coordinates of the images under
+    # A is column r of the restricted action.
+    imgs = _as_stack(actions, p).images(ech.rows)
+    return linalg.ActionStack([ech.coords(img).T for img in imgs], p)
 
 
 def quotient_actions(actions, ech: linalg.Echelon, p: int):
-    """Action matrices on the quotient by a spanned invariant subspace."""
-    d = actions[0].shape[0]
+    """Actions on the quotient by a spanned invariant subspace, and the
+    non-pivot columns whose unit vectors represent its basis."""
+    stack = _as_stack(actions, p)
+    d = stack.d
     free = np.ones(d, dtype=bool)
     free[ech.pivots] = False
     npiv = np.flatnonzero(free).tolist()
-    out = []
-    for A in actions:
-        # images of the representative vectors, as rows, reduced modulo the span
-        W = ech.residual(A[:, npiv].T)
-        out.append(W[:, npiv].T.copy())
-    return out, npiv
+    # row j of A^T is A e_j: the images of the representative vectors,
+    # reduced modulo the span, as rows
+    return linalg.ActionStack([ech.residual(At[npiv])[:, npiv].T for At in stack.lifted],
+                              p), npiv
 
 
 def submodule_rep(M: ModuleRep, ech: linalg.Echelon) -> ModuleRep:
-    acts = restrict_actions([M.action(i) for i in range(len(M.gens))], ech, M.alg.p)
-    return ModuleRep(M.alg, M.chi, M.gens, acts)
+    return ModuleRep(M.alg, M.chi, M.gens, restrict_actions(M.stack, ech, M.alg.p))
 
 
 def quotient_rep(M: ModuleRep, ech: linalg.Echelon) -> ModuleRep:
-    acts, _ = quotient_actions([M.action(i) for i in range(len(M.gens))], ech, M.alg.p)
+    acts, _ = quotient_actions(M.stack, ech, M.alg.p)
     return ModuleRep(M.alg, M.chi, M.gens, acts)
 
 
 def invariant_subspace(M: ModuleRep, subalgebra_indices) -> np.ndarray:
     """Joint kernel of the actions of the given global basis elements."""
     slots = {g: i for i, g in enumerate(M.gens)}
-    mats = [M.action(slots[g]) for g in subalgebra_indices]
+    mats = [M.actions[slots[g]] for g in subalgebra_indices]
     if not mats:
         return np.eye(M.dim, dtype=np.int64)
-    return linalg.kernel(np.vstack(mats), M.alg.p)
+    return linalg.joint_kernel(mats, M.alg.p)
 
 
 # ---------------------------------------------------------------------------
@@ -120,15 +120,12 @@ def _random_word(rng, nacts: int, p: int):
     return [rng.integers(0, p, size=nacts + 1) for _ in range(nfac)]
 
 
-def _eval_word(word, actions, p: int) -> np.ndarray:
+def _eval_word(word, stack: linalg.ActionStack, p: int) -> np.ndarray:
     """Product over the factors of Σ c_i A_i + c_scalar I."""
-    eye = np.eye(actions[0].shape[0], dtype=np.int64)
     out = None
     for c in word:
-        f = int(c[-1]) * eye
-        for coeff, A in zip(c, actions):
-            if coeff:
-                f += int(coeff) * A
+        f = stack.combination(c[:-1])
+        f.flat[::stack.d + 1] += int(c[-1])  # the diagonal
         f %= p
         out = f if out is None else linalg.matmul(out, f, p)
     return out
@@ -205,19 +202,20 @@ def find_invariant_subspace(actions, p: int, rng):
     that spin and the transposed one are both full the module is certified
     irreducible (Norton's test).
     """
-    d = actions[0].shape[0]
+    stack = _as_stack(actions, p)
+    d = stack.d
     if d <= 1:
         return None
     transposed = None
     best = None
     for _ in range(WORD_BUDGET):
-        w = _eval_word(_random_word(rng, len(actions), p), actions, p)
+        w = _eval_word(_random_word(rng, stack.k, p), stack, p)
         for stage in (_shift_kernels, _quadratic_kernels):
             for f, ker in stage(w, p):
                 certifying = ker.shape[0] == len(f) - 1
                 all_full = True
                 for v in ker[:1 if certifying else SPIN_TRIES]:
-                    sub = spin(actions, v, p)
+                    sub = spin(stack, v, p)
                     if sub.dim < d:
                         all_full = False
                         if d // 4 <= sub.dim <= 3 * d // 4:
@@ -226,7 +224,7 @@ def find_invariant_subspace(actions, p: int, rng):
                             best = sub
                 if certifying and all_full and best is None:
                     if transposed is None:
-                        transposed = [A.T for A in actions]
+                        transposed = stack.transposed()
                     return _norton_transpose(transposed, _poly_at(f, w, p), p)
                 if best is not None and stage is _quadratic_kernels:
                     break  # no quadratic kernel is computed once a split is known
@@ -237,28 +235,27 @@ def find_invariant_subspace(actions, p: int, rng):
         v = rng.integers(0, p, size=d)
         if not np.any(v):
             continue
-        sub = spin(actions, v, p)
+        sub = spin(stack, v, p)
         if 0 < sub.dim < d:
             return sub
     raise Inconclusive("no certificate or splitting found within the word budget")
 
 
-def _split_with_retries(actions, p: int, key: tuple):
+def _split_with_retries(stack: linalg.ActionStack, p: int, key: tuple):
     """find_invariant_subspace under rngs seeded (*key, attempt), retried
     after Inconclusive; returns (subspace or None, failed attempts)."""
     for attempt in range(MAX_RETRIES):
         rng = np.random.default_rng((*key, attempt))
         try:
-            return find_invariant_subspace(actions, p, rng), attempt
+            return find_invariant_subspace(stack, p, rng), attempt
         except Inconclusive:
             pass
-    raise Inconclusive(f"node of dim {actions[0].shape[0]} resisted {MAX_RETRIES} retries")
+    raise Inconclusive(f"node of dim {stack.d} resisted {MAX_RETRIES} retries")
 
 
 def is_irreducible(M: ModuleRep, seed: int = 0) -> bool:
-    acts = [M.action(i) for i in range(len(M.gens))]
     rng = np.random.default_rng((seed, 0xA11))
-    return find_invariant_subspace(acts, M.alg.p, rng) is None
+    return find_invariant_subspace(M.stack, M.alg.p, rng) is None
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +293,12 @@ def weight_character(M: ModuleRep) -> CharacterTable:
             raise NotWeightModule("toral action is not semisimple over F_p")
     spaces = [((), np.eye(M.dim, dtype=np.int64))]
     for g in toral:
-        A = M.action(slots[g])
+        stack = linalg.ActionStack([M.actions[slots[g]]], p)
         new = []
         for tag, rows in spaces:
             sub = linalg.Echelon(M.dim, p)
             sub.add_rows(rows)
-            restr = restrict_actions([A], sub, p)[0]
+            (restr,) = restrict_actions(stack, sub, p)
             found = 0
             for c in range(p):
                 K = linalg.kernel((restr - c * np.eye(sub.dim, dtype=np.int64)) % p, p)
@@ -347,9 +344,12 @@ def _standard_basis(actions, v, p, schedule=None):
 
     The schedule lists the (basis row, generator slot) steps whose image was
     new.  Given a schedule to follow, returns None at the first basis row
-    whose new images differ from the schedule's.
+    whose new images differ from the schedule's.  The images of the basis
+    rows not yet swept, up to SWEEP_ROWS of them, come from one product
+    against the stack.
     """
-    d = actions[0].shape[0]
+    stack = _as_stack(actions, p)
+    d = stack.d
     ech = linalg.Echelon(d, p)
     basis = [np.asarray(v, dtype=np.int64) % p]
     ech.add_rows(basis[0])
@@ -359,14 +359,20 @@ def _standard_basis(actions, v, p, schedule=None):
         for i, gslot in schedule:
             want.setdefault(i, []).append(gslot)
     steps = []
-    i = 0
+    i = swept = 0
     # once the basis spans everything, no later image is new
     while i < len(basis) and ech.dim < d:
-        imgs = np.stack([linalg.matvec(A, basis[i], p) for A in actions])
+        if i == swept:
+            rows = np.stack(basis[i:i + SWEEP_ROWS])
+            batch = linalg.asmod(stack.images(rows), p)
+            first, swept = i, i + rows.shape[0]
+        imgs = batch[:, i - first]
         res = ech.residual(imgs)
         # an image is new when its residual is independent of the residuals
-        # of the earlier images: the pivot columns of the residuals as columns
-        new = linalg.rref(res.T, p)[1]
+        # of the earlier images: the pivot columns of the nonzero residuals
+        # as columns (a lone nonzero residual is its own pivot)
+        nz = np.flatnonzero(res.any(axis=1))
+        new = nz.tolist() if nz.size < 2 else nz[linalg.rref(res[nz].T, p)[1]].tolist()
         if want is not None and new != want.get(i, []):
             return None
         for gslot in new:
@@ -380,21 +386,27 @@ def _standard_basis(actions, v, p, schedule=None):
     return np.stack(basis), steps
 
 
-def _intertwines(theta, actsM, actsN, p) -> bool:
-    """θ ρ_M(g) = ρ_N(g) θ for every generator g."""
-    return all(np.array_equal(linalg.matmul(theta, a, p), linalg.matmul(b, theta, p))
-               for a, b in zip(actsM, actsN))
+def _intertwines(theta, stackM: linalg.ActionStack, stackN: linalg.ActionStack, p) -> bool:
+    """θ ρ_M(g) = ρ_N(g) θ for every generator g, in two products: θ times
+    [A_1 | ... | A_k] and [B_1; ...; B_k] times θ, both read off the stacks."""
+    dN, dM = theta.shape
+    k = stackM.k
+    # row (i, l) of the (k dM, dM) view of M's stack is column l of A_i
+    left = linalg.asmod(linalg._times(theta, stackM.lifted.reshape(k * dM, dM).T, p), p)
+    # θ^T B_i^T = (B_i θ)^T
+    right = linalg.asmod(linalg._times(theta.T, stackN.lifted, p), p)
+    return np.array_equal(left.reshape(dN, k, dM), right.transpose(2, 0, 1))
 
 
-def _match_standard_basis(sbM, schedule, seeds, actsM, actsN, p):
+def _match_standard_basis(sbM, schedule, seeds, stackM, stackN, p):
     """(True, θ) for the first seed vector of N whose standard basis follows
     M's schedule and yields an intertwiner θ, else (False, None)."""
     for u in seeds:
-        replay = _standard_basis(actsN, u, p, schedule)
+        replay = _standard_basis(stackN, u, p, schedule)
         if replay is None:
             continue
         theta = linalg.matmul(replay[0].T, linalg.inv(sbM.T, p), p)
-        if _intertwines(theta, actsM, actsN, p):
+        if _intertwines(theta, stackM, stackN, p):
             return True, theta
     return False, None
 
@@ -419,28 +431,27 @@ def are_isomorphic(M: ModuleRep, N: ModuleRep, seed: int = 0):
     if _central_scalars(M) != _central_scalars(N):
         return False, None
     p = M.alg.p
-    actsM = [M.action(i) for i in range(len(M.gens))]
-    actsN = [N.action(i) for i in range(len(N.gens))]
-    if all(np.array_equal(a, b) for a, b in zip(actsM, actsN)):
+    if all(np.array_equal(a, b) for a, b in zip(M.actions, N.actions)):
         return True, np.eye(M.dim, dtype=np.int64)
+    stackM, stackN = M.stack, N.stack
     rng = np.random.default_rng((seed, 0x150))
     for _ in range(WORD_BUDGET):
-        word = _random_word(rng, len(actsM), p)
-        wM = _eval_word(word, actsM, p)
+        word = _random_word(rng, stackM.k, p)
+        wM = _eval_word(word, stackM, p)
         wN = None
         for f, kerM in itertools.chain(_shift_kernels(wM, p), _quadratic_kernels(wM, p)):
             if kerM.shape[0] != len(f) - 1:
                 continue
-            sbM, schedule = _standard_basis(actsM, kerM[0], p)
+            sbM, schedule = _standard_basis(stackM, kerM[0], p)
             if sbM.shape[0] != M.dim:
                 continue  # kernel vector does not generate; try another f
             if wN is None:
-                wN = _eval_word(word, actsN, p)
+                wN = _eval_word(word, stackN, p)
             kerN = linalg.kernel(_poly_at(f, wN, p), p)
             if kerN.shape[0] != kerM.shape[0]:
                 return False, None
             return _match_standard_basis(sbM, schedule, _line_representatives(kerN, p),
-                                         actsM, actsN, p)
+                                         stackM, stackN, p)
     raise Inconclusive("no generating word kernel found")
 
 
@@ -517,22 +528,21 @@ def chop(M: ModuleRep, seed: int = 0,
     p = M.alg.p
     leaves = []
     retries = 0
-    stack = [[M.action(i) for i in range(len(M.gens))]]
+    pending = [M.stack]
     node = 0
-    while stack:
-        acts = stack.pop()
+    while pending:
+        acts = pending.pop()
         node += 1
-        d = acts[0].shape[0]
-        if d == 0:
+        if acts.d == 0:
             continue
         sub, failed = _split_with_retries(acts, p, (seed, node))
         retries += failed
         if sub is None:
             leaves.append(acts)
         else:
-            stack.append(restrict_actions(acts, sub, p))
+            pending.append(restrict_actions(acts, sub, p))
             qacts, _ = quotient_actions(acts, sub, p)
-            stack.append(qacts)
+            pending.append(qacts)
     counts = Counter()
     for acts in leaves:
         rep = ModuleRep(M.alg, M.chi, M.gens, acts)
@@ -551,7 +561,7 @@ def chop(M: ModuleRep, seed: int = 0,
 def find_simple_submodule(M: ModuleRep, seed: int = 0) -> linalg.Echelon:
     """Descend through proper submodules until an irreducible one remains."""
     p = M.alg.p
-    acts = [M.action(i) for i in range(len(M.gens))]
+    acts = M.stack
     d = M.dim
     basis = linalg.Echelon(d, p)
     basis.add_rows(np.eye(d, dtype=np.int64))
@@ -647,12 +657,12 @@ def highest_weight_vectors(N: ModuleRep, lam) -> np.ndarray:
     p = N.alg.p
     slots = {g: i for i, g in enumerate(N.gens)}
     eye = np.eye(N.dim, dtype=np.int64)
-    mats = [N.action(slots[g]) for g in ctx.nplus_indices]
+    mats = [N.actions[slots[g]] for g in ctx.nplus_indices]
     for idx in ctx.torus_indices:
         meta = ctx.meta[idx]
         val = lam.value(meta.degree, meta.pos[0])
-        mats.append((N.action(slots[idx]) - val * eye) % p)
-    return linalg.kernel(np.vstack(mats), p)
+        mats.append(N.actions[slots[idx]] - val * eye)
+    return linalg.joint_kernel(mats, p)
 
 
 def _line_representatives(rows: np.ndarray, p: int, cap: int = 1000):
@@ -698,24 +708,32 @@ def verma_intertwiner(Z: ModuleRep, N: ModuleRep, lam):
     if p ** k != Z.dim:
         return None  # not a plain Borel-induced basis
     slots = {g: i for i, g in enumerate(N.gens)}
-    comp_actions = [N.action(slots[g]) for g in comp]
-    actsZ = [Z.action(i) for i in range(len(Z.gens))]
-    actsN = [N.action(i) for i in range(len(N.gens))]
+    comp_slots = [slots[g] for g in comp]
     hw = highest_weight_vectors(N, lam)
     if hw.shape[0] == 0:
         return None
     for w in _line_representatives(hw, p):
-        cols = np.zeros((N.dim, Z.dim), dtype=np.int64)
-        cols[:, 0] = w
-        for rank_idx in range(1, Z.dim):
-            a = exps_of_rank(rank_idx, k, p)
-            i = next(t for t, v in enumerate(a) if v)
-            prev = rank_idx - p ** (k - 1 - i)
-            cols[:, rank_idx] = linalg.matvec(comp_actions[i], cols[:, prev], p)
-        try:
-            linalg.inv(cols, p)
-        except NoSolution:
-            continue
-        if _intertwines(cols, actsZ, actsN, p):
+        cols = _verma_columns(N.stack, comp_slots, w, p)
+        if linalg.rank(cols, p) < N.dim:
+            continue  # not invertible
+        if _intertwines(cols, Z.stack, N.stack, p):
             return cols
     return None
+
+
+def _verma_columns(stack: linalg.ActionStack, comp_slots, w, p: int) -> np.ndarray:
+    """Matrix whose column of rank r is ρ(u^a)·w for a = exps_of_rank(r).
+
+    The ranks whose first nonzero exponent is a_j = t form the run
+    [t p^(k-1-j), (t+1) p^(k-1-j)), and that run is A_j times the run before
+    it (a_j lowered by one), so the columns take k(p - 1) products.
+    """
+    k = len(comp_slots)
+    rows = np.zeros((p ** k, stack.d), dtype=np.int64)
+    rows[0] = w
+    for j in range(k - 1, -1, -1):
+        s = p ** (k - 1 - j)
+        At = stack.lifted[comp_slots[j]]
+        for t in range(1, p):
+            rows[t * s:(t + 1) * s] = linalg.asmod(linalg._times(rows[(t - 1) * s:t * s], At, p), p)
+    return np.ascontiguousarray(rows.T)

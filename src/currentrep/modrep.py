@@ -165,8 +165,14 @@ class ModuleRep:
 
     ``actions[i]`` is the matrix of the basis element ``gens[i]`` acting on
     column vectors, stored reduced mod p in the smallest unsigned dtype that
-    holds p - 1.  Optional per-basis-vector tags carry h*-weights, lattice
-    gradings and the torus t-degree filtration used by projective covers.
+    holds p - 1.  The constructor is the trusted boundary of the action
+    data: it reduces what it is given once, and nothing downstream reduces
+    an action again.  ``stack`` is the read-only
+    :class:`~currentrep.linalg.ActionStack` of the actions, lifted once on
+    first use (or handed in as ``actions``), that lives and dies with the
+    module; every product with the actions is taken against it.  Optional
+    per-basis-vector tags carry h*-weights, lattice gradings and the torus
+    t-degree filtration used by projective covers.
     """
 
     def __init__(self, alg, chi, gens, actions, weight_tags=None,
@@ -180,9 +186,19 @@ class ModuleRep:
         self.grading_tags = grading_tags
         self.tdeg_tags = tdeg_tags
         self.basis_labels = basis_labels
+        # a stack handed in (a chop node, a restriction or a quotient) holds
+        # these same actions
+        self._stack = actions if isinstance(actions, linalg.ActionStack) else None
 
     def action(self, i: int) -> np.ndarray:
         return self.actions[i].astype(np.int64)
+
+    @property
+    def stack(self) -> linalg.ActionStack:
+        """The stored actions lifted once into a read-only stack."""
+        if self._stack is None:
+            self._stack = linalg.ActionStack(self.actions, self.alg.p)
+        return self._stack
 
     def action_of_coords(self, coords) -> np.ndarray:
         """Matrix of an arbitrary element given by global basis coordinates."""

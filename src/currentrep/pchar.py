@@ -180,7 +180,7 @@ def _nilpotent_jordan_chains(A: np.ndarray, p: int):
             if not covered.contains(w):
                 chain = [w]
                 for _ in range(j - 1):
-                    chain.append(linalg.matvec(A, chain[-1], p))
+                    chain.append(linalg.matmul(A, chain[-1].reshape(-1, 1), p).ravel())
                 chains.append(chain)
                 covered.add_rows(w.reshape(1, -1))
     return chains

@@ -365,7 +365,7 @@ def _zproj_filtration_multiplicities(Zp, alg, chi, lams, seed, limit):
     tags = np.array(Zp.tdeg_tags)
     counts = Counter()
     maxdeg = int(tags.max()) if len(tags) else 0
-    acts = [Zp.action(i) for i in range(len(Zp.gens))]
+    acts = Zp.actions
     vermas = {lam.degree_zero: build_baby_verma(chi, lam, limit=limit) for lam in lams}
     dimZ = alg.p ** ((alg.m + 1) * alg.num_pos_roots)
     for d in range(maxdeg + 1):
@@ -408,7 +408,7 @@ def _split_verma_section(section, vermas, alg, seed):
 
 def _find_verma_summand(M, vermas, alg, seed):
     p = alg.p
-    acts = [M.action(i) for i in range(len(M.gens))]
+    acts = M.stack
     for w, Z in vermas.items():
         lam = LambdaWeight.from_degree_zero(w, alg)
         for v in highest_weight_vectors(M, lam):

@@ -214,3 +214,39 @@ def test_mat_mult_at_a_large_prime():
             for s in range(3):
                 want = sum(c[i][r][t] * c[k - i][t][s] for i in range(k + 1) for t in range(3))
                 assert got[k, r, s] == want % p
+
+
+def test_public_constructor_rejects_invalid_stacks():
+    with pytest.raises(ValueError, match="shape"):
+        CurrentElement(SL2, np.zeros((1, 2, 2), dtype=np.int64))
+    with pytest.raises(ValueError, match="shape"):
+        CurrentElement(SL2, np.zeros((2, 3, 3), dtype=np.int64))
+    bad = np.zeros((2, 2, 2), dtype=np.int64)
+    bad[1, 0, 0] = 1
+    with pytest.raises(ValueError, match="traceless"):
+        CurrentElement(SL2, bad)
+    # a trace that vanishes only mod p is accepted, and the input is reduced
+    ok = np.zeros((2, 2, 2), dtype=np.int64)
+    ok[0, 0, 0], ok[0, 1, 1], ok[1, 0, 1] = 4, -1, -2
+    x = CurrentElement(SL2, ok)
+    assert x.coeffs[0, 0, 0] == 1 and x.coeffs[0, 1, 1] == 2 and x.coeffs[1, 0, 1] == 1
+
+
+def _validated(x: CurrentElement) -> CurrentElement:
+    return CurrentElement(x.alg, x.coeffs)
+
+
+@given(algebras(), st.integers(0, 10 ** 6))
+def test_arithmetic_results_pass_the_public_checks(alg, seed):
+    # results built without checks are reduced int64 stacks that the public
+    # constructor accepts unchanged
+    rng = np.random.default_rng(seed)
+    x, y = random_element(alg, rng), random_element(alg, rng)
+    c = int(rng.integers(-10, 10))
+    for z in (x + y, x - y, -x, x.scale(c), bracket(x, y), p_map(x),
+              get_context(alg).from_coords(rng.integers(-5, 5, alg.dim_gm))):
+        assert z.coeffs.dtype == np.int64
+        assert z == _validated(z)
+    assert x - y == CurrentElement(alg, x.coeffs - y.coeffs)
+    assert x.scale(c) == CurrentElement(alg, x.coeffs * c)
+    assert bracket(x, y) == CurrentElement(alg, x.mat_mult(y) - y.mat_mult(x))

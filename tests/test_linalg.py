@@ -63,9 +63,9 @@ def test_solve_particular(seed):
     p = 5
     A = rng.integers(0, p, (9, 7))
     x = rng.integers(0, p, 7)
-    b = linalg.matvec(A, x, p)
+    b = linalg.matmul(A, x.reshape(-1, 1), p).ravel()
     sol = linalg.solve(A, b, p)
-    assert np.array_equal(linalg.matvec(A, sol, p), b)
+    assert np.array_equal(linalg.matmul(A, sol.reshape(-1, 1), p).ravel(), b)
 
 
 def test_echelon_incremental_matches_batch():
@@ -169,3 +169,67 @@ def test_echelon_queries_between_insertions_match_a_fresh_basis(p):
         assert ech.contains(_py_mul(coef, ech.rows, p)[0])
         with pytest.raises(NoSolution):
             ech.coords(np.eye(n, dtype=np.int64)[-1])
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 4), st.integers(1, 9),
+       st.integers(0, 10 ** 6))
+def test_joint_kernel_matches_stacked_kernel(p, nmats, cols, seed):
+    rng = np.random.default_rng(seed)
+    mats = [rng.integers(0, p, (int(rng.integers(1, 4)), cols)) for _ in range(nmats)]
+    want = linalg.kernel(np.vstack(mats), p)
+    got = linalg.joint_kernel(mats, p)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_joint_kernel_single_matrix_and_empty_intersection(p):
+    rng = np.random.default_rng(p)
+    A = rng.integers(0, p, (2, 6))
+    assert np.array_equal(linalg.joint_kernel([A], p), linalg.kernel(A, p))
+    # the kernels, span(e_0 - e_1, e_2) and span(e_1), meet in zero
+    mats = [np.array([[1, 1, 0]]), np.array([[0, 0, 1], [1, 0, 0]])]
+    assert linalg.joint_kernel(mats, p).shape == (0, 3)
+    assert linalg.joint_kernel([np.eye(4, dtype=np.int64), A[:, :4]], p).shape == (0, 4)
+
+
+@pytest.mark.parametrize("p", [3, 131, 2 ** 31 - 1])
+def test_action_stack_holds_the_actions(p):
+    # p = 2^31 - 1 takes the int64 branch: no float dtype holds the products
+    rng = np.random.default_rng(p % 97)
+    acts = [rng.integers(0, p, (5, 5)) for _ in range(3)]
+    stack = linalg.ActionStack(acts, p)
+    assert (stack.lifted.dtype == np.int64) == (p > 131)
+    assert stack.k == len(stack) == 3 and stack.d == 5
+    for A, At, B in zip(acts, stack.lifted, stack):
+        assert np.array_equal(At, A.T) and np.array_equal(B, A) and B.dtype == np.int64
+    for A, B in zip(acts, stack.transposed()):
+        assert np.array_equal(B, A.T)
+    with pytest.raises(ValueError):
+        stack.lifted[0, 0, 0] = 1
+    v = rng.integers(0, p, (2, 5))
+    imgs = np.asarray(stack.images(v), dtype=np.int64) % p
+    c = rng.integers(0, p, 3)
+    comb = np.zeros((5, 5), dtype=object)
+    for i, A in enumerate(acts):
+        want = (A.astype(object) @ v.T.astype(object) % p).T
+        assert np.array_equal(imgs[i], want.astype(np.int64))
+        comb += int(c[i]) * A.astype(object)
+    assert np.array_equal(stack.combination(c), (comb % p).astype(np.int64))
+
+
+@pytest.mark.parametrize("n", [2, 64])
+def test_asmod_returns_a_reduced_copy(n):
+    # n = 64 takes the range check and the floor-division remainder
+    p = 7
+    rng = np.random.default_rng(n)
+    a = rng.integers(0, p, (n, n))
+    out = linalg.asmod(a, p)
+    assert np.array_equal(out, a) and out is not a
+    out[0, 0] = (out[0, 0] + 1) % p
+    assert out[0, 0] != a[0, 0]
+    for bad in (-15, -7, -1, 7, 8, 2 ** 62 + 5):
+        b = a.copy()
+        b[-1, -1] = bad
+        assert np.array_equal(linalg.asmod(b, p), b % p)
+    assert np.array_equal(linalg.asmod(a + 7.0, p), a)

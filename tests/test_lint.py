@@ -2,11 +2,14 @@
 
 ``python -O`` strips ``assert`` statements, so library invariants raise
 ``InternalError``; a handler for ``Exception`` (or a bare ``except``)
-would turn a bug into an ordinary-looking outcome; and an import inside a
-function hides a module's dependencies from its header.
+would turn a bug into an ordinary-looking outcome; an import inside a
+function hides a module's dependencies from its header; and renaming a
+function that the benchmark wraps by name would only show when the
+benchmark runs.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import currentrep
@@ -48,3 +51,51 @@ def test_imports_only_at_module_level():
             if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top:
                 found.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert found == []
+
+
+def _wrapped_names(path: Path):
+    """(module, attribute path) of every currentrep name that a benchmark
+    file wraps: in each tuple literal, a "currentrep..." module string and
+    the string constants right after it (an attribute, or a class and its
+    method)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Tuple):
+            continue
+        consts = [e.value if isinstance(e, ast.Constant) and isinstance(e.value, str) else None
+                  for e in node.elts]
+        for i, c in enumerate(consts):
+            if c is not None and c.startswith("currentrep."):
+                attrs = []
+                for nxt in consts[i + 1:]:
+                    if nxt is None:
+                        break
+                    attrs.append(nxt)
+                out.append((c, tuple(attrs)))
+    return out
+
+
+def test_benchmark_wraps_names_that_exist():
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    wrapped = {name: _wrapped_names(bench / name) for name in ("tracer.py", "checks.py")}
+    # FUNCTIONS and METHODS in the tracer, the install list of the checks
+    assert len(wrapped["tracer.py"]) >= 30 and len(wrapped["checks.py"]) >= 5
+    missing = []
+    for name, entries in wrapped.items():
+        for modname, attrs in entries:
+            obj = importlib.import_module(modname)
+            for attr in attrs:
+                if not hasattr(obj, attr):
+                    missing.append(f"{name}: {modname}.{'.'.join(attrs)}")
+                    break
+                obj = getattr(obj, attr)
+            else:
+                if not callable(obj):
+                    missing.append(f"{name}: {modname}.{'.'.join(attrs)} is not callable")
+    tree = ast.parse((bench / "tracer.py").read_text(encoding="utf-8"))
+    suites = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "SUITE_NAMES" for t in node.targets))
+    SUITES = importlib.import_module("currentrep.suites").SUITES
+    missing += [f"suite {e.value}" for e in suites.elts if e.value not in SUITES]
+    assert missing == []

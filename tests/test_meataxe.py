@@ -6,8 +6,8 @@ import pytest
 from currentrep import linalg
 from currentrep.algebra import AlgebraDescriptor, CurrentElement, get_context
 from currentrep.errors import NoSolution, NotGraded, NotWeightModule
-from currentrep.meataxe import (SimpleCatalog, _line_representatives,
-                                _standard_basis, are_isomorphic, chop,
+from currentrep.meataxe import (SimpleCatalog, _intertwines, _line_representatives,
+                                _standard_basis, _verma_columns, are_isomorphic, chop,
                                 graded_character, head, head_general,
                                 hom_space, invariant_subspace, is_irreducible,
                                 quotient_actions, restrict_actions, spin,
@@ -15,7 +15,7 @@ from currentrep.meataxe import (SimpleCatalog, _line_representatives,
                                 weight_character)
 from currentrep.modrep import (LambdaWeight, ModuleRep, build_baby_verma,
                                build_dual_verma, build_regular_module,
-                               enumerate_lambda, inflate)
+                               enumerate_lambda, exps_of_rank, inflate)
 from currentrep.pchar import PChar, pchar_from_element
 
 SL2 = AlgebraDescriptor("sl", 2, 3, 1)
@@ -299,7 +299,7 @@ def _one_step_standard_basis(actions, v, p):
     i = 0
     while i < len(basis):
         for gslot, A in enumerate(actions):
-            w = linalg.matvec(A, basis[i], p)
+            w = linalg.matmul(A, basis[i].reshape(-1, 1), p).ravel()
             if not ech.contains(w):
                 basis.append(w)
                 ech.add_rows(w)
@@ -326,7 +326,7 @@ def test_standard_basis_matches_one_step_spin_and_replays():
     v = np.eye(Z0.dim, dtype=np.int64)[-1]
     basis, steps = _standard_basis(acts, v, 3)
     acts1 = [Z1.action(i) for i in range(len(Z1.gens))]
-    replay = _standard_basis(acts1, linalg.matvec(theta, v, 3), 3, steps)
+    replay = _standard_basis(acts1, linalg.matmul(theta, v.reshape(-1, 1), 3).ravel(), 3, steps)
     assert replay is not None and replay[1] == steps
     # a module of another dimension pattern departs from it
     assert _standard_basis(acts1, np.zeros(Z1.dim, dtype=np.int64), 3, steps) is None
@@ -415,6 +415,64 @@ def test_spin_restrict_quotient_match_one_generator_reference(p):
     ech.add_rows(np.eye(d, dtype=np.int64)[:2])
     with pytest.raises(NoSolution):
         restrict_actions(acts, ech, p)
+
+
+def test_int64_stack_runs_spin_standard_basis_and_intertwines_exactly():
+    # d (p-1)^2 >= 2^53, so the stack is int64 and products go through
+    # Python integers
+    p, d = 2 ** 31 - 1, 3
+    assert linalg._float_dtype(d, p) is None
+    rng = np.random.default_rng(11)
+    acts, P = _triangular_actions(d, 2, 1, p, rng)
+    stack = linalg.ActionStack(acts, p)
+    assert stack.lifted.dtype == np.int64
+    for seeds in [rng.integers(0, p, (1, d)), P[:, :1].T]:
+        ech = spin(stack, seeds, p)
+        rows, piv = _reference_spin(acts, seeds, p)
+        assert ech.pivots == piv
+        assert np.array_equal(ech.rows, rows)
+    v = rng.integers(0, p, d)
+    basis, steps = _standard_basis(stack, v, p)
+    ref_basis, ref_steps = _one_step_standard_basis(acts, v, p)
+    assert steps == ref_steps
+    assert np.array_equal(basis, ref_basis)
+    # B = P A P^-1 gives P A = B P
+    Pinv = linalg.inv(P, p)
+    conj = linalg.ActionStack([_py_mul(_py_mul(P, A, p), Pinv, p) for A in acts], p)
+    assert _intertwines(P, stack, conj, p)
+    bad = P.copy()
+    bad[0, 0] = (bad[0, 0] + 1) % p
+    assert not _intertwines(bad, stack, conj, p)
+
+
+def _verma_columns_one_at_a_time(N, comp, w, p):
+    """ρ_N(u^a)·w column by column along the monomial recursion."""
+    slots = {g: i for i, g in enumerate(N.gens)}
+    k = len(comp)
+    cols = np.zeros((N.dim, p ** k), dtype=np.int64)
+    cols[:, 0] = w
+    for r in range(1, p ** k):
+        a = exps_of_rank(r, k, p)
+        i = next(t for t, v in enumerate(a) if v)
+        prev = r - p ** (k - 1 - i)
+        A = N.action(slots[comp[i]])
+        cols[:, r] = linalg.matmul(A, cols[:, prev].reshape(-1, 1), p).ravel()
+    return cols
+
+
+@pytest.mark.parametrize("alg", [SL2, AlgebraDescriptor("sl", 2, 3, 2),
+                                 AlgebraDescriptor("gl", 2, 5, 1)])
+def test_verma_columns_match_the_per_column_recursion(alg):
+    p = alg.p
+    chi = PChar.zero(alg)
+    comp = get_context(alg).nminus_indices
+    rng = np.random.default_rng(p)
+    for lam in enumerate_lambda(chi)[:2]:
+        N = build_baby_verma(chi, lam)
+        slots = [N.gens.index(g) for g in comp]
+        for w in [np.eye(N.dim, dtype=np.int64)[0], rng.integers(0, p, N.dim)]:
+            got = _verma_columns(N.stack, slots, w, p)
+            assert np.array_equal(got, _verma_columns_one_at_a_time(N, comp, w, p))
 
 
 def test_line_representatives_order():

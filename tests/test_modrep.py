@@ -194,6 +194,20 @@ def test_regular_module_sizes():
         build_regular_module(PChar.zero(g3))
 
 
+def test_module_stack_is_the_stored_actions_read_only():
+    chi = PChar.zero(SL2)
+    Z = build_baby_verma(chi, enumerate_lambda(chi)[1])
+    stack = Z.stack
+    assert Z.stack is stack
+    assert stack.lifted.dtype == np.float32
+    assert stack.lifted.shape == (len(Z.gens), Z.dim, Z.dim)
+    for i, (A, B) in enumerate(zip(Z.actions, stack)):
+        assert np.array_equal(stack.lifted[i], A.T)
+        assert np.array_equal(B, Z.action(i))
+    with pytest.raises(ValueError):
+        stack.lifted[0, 0, 0] = 1
+
+
 def test_axiom_checker_flags_corruption():
     chi = PChar.zero(SL2)
     lam = enumerate_lambda(chi)[0]
