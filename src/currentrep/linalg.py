@@ -7,19 +7,21 @@ mantissa capacity, which is checked on every call, and past float64 the
 product is taken over Python integers.  Row reduction is a vectorised
 Gauss-Jordan elimination.
 
-Reduce once: the public functions (``matmul``, ``matpow``, ``rref``,
-``rank``, ``kernel``, ``joint_kernel``, ``solve``, ``inv`` and the
-``Echelon`` methods) reduce their arguments mod p on entry and return int64
-arrays with entries in [0, p).  The private helpers (``_mul_reduced``,
-``_lift``, ``_times``, ``_rref_naive``, ``_rref_blocked``,
-``Echelon._cancel``) trust their input to be in range and never reduce it
-again.  Module actions are reduced once, where ``modrep.ModuleRep`` stores
-them; that is the trusted boundary.  Each module then lifts its actions once
-into an :class:`ActionStack`, the read-only stack [A_1^T | ... | A_k^T] in
-the exact dtype of ``_lift``, and every product with its actions (spins,
-standard bases, words, intertwiner checks, restrictions and quotients) is
-taken against that stack.  ``asmod`` always returns a copy, which ``rref``
-then overwrites in place.
+Reduce once.  This module is the only one that knows how F_p values are
+held in flight: everything it hands out is an int64 array with entries in
+[0, p).  The public functions (``matmul``, ``matpow``, ``rref``, ``rank``,
+``kernel``, ``joint_kernel``, ``solve``, ``inv``) and the methods of
+``Echelon`` and ``ActionStack`` reduce their arguments on entry with
+``asmod``, which for a reduced array of 2048 or more entries is a range
+check and a copy.  The private helpers (``_lift``, ``_times``, ``_rref``,
+``_rref_naive``, ``_rref_blocked``, ``Echelon._cancel``) trust their input
+to lie in [0, p) and never reduce it again; ``_times`` returns exact
+products unreduced in the float dtype of ``_lift``, and the caller in this
+module reduces each such product once, before it leaves.  Module actions are
+reduced once, where ``modrep.ModuleRep`` stores them, and lifted once into
+an :class:`ActionStack`, the read-only [A_1^T | ... | A_k^T] in the exact
+dtype of ``_lift``; its methods give every product that the MeatAxe takes
+with the actions (images of rows, θ A_i, columns of A_i), reduced.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ def asmod(a, p: int) -> np.ndarray:
 
 def matmul(a, b, p: int) -> np.ndarray:
     """Exact product ``a @ b`` over F_p via floating-point BLAS."""
-    return _mul_reduced(asmod(a, p), asmod(b, p), p)
+    a = asmod(a, p)
+    return asmod(_times(a, _lift([asmod(b, p)], p, a.shape[-1]), p), p)
 
 
 def _float_dtype(inner: int, p: int):
@@ -81,13 +84,6 @@ def _times(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if b.dtype == np.int64:
         return (a.astype(object) @ b.astype(object) % p).astype(np.int64)
     return np.matmul(a.astype(b.dtype), b)
-
-
-def _mul_reduced(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """``a @ b`` mod p for arrays whose entries are already in [0, p)."""
-    out = _times(a, _lift([b], p, a.shape[-1]), p).astype(np.int64, copy=False)
-    out %= p
-    return out
 
 
 def matpow(a, k: int, p: int) -> np.ndarray:
@@ -171,9 +167,9 @@ def _rref_blocked(R: np.ndarray, p: int, nb: int = 16):
             keep[chosen] = False
             rest = np.flatnonzero(keep)
             # the chosen rows span the slab rows from r on; their reduced
-            # form with identity on the slab pivots is the new pivot block
-            P0 = F[chosen, c0:].astype(np.int64) % p
-            P = _mul_reduced(inv(P0[:, slab_pivots], p), P0, p).astype(dt)
+            # echelon form, with identity on the slab pivots, is the new
+            # pivot block
+            P = _rref_naive(F[chosen, c0:].astype(np.int64) % p, p)[0].astype(dt)
             top = S[:r, slab_pivots].astype(dt)
             bottom = S[rest][:, slab_pivots].astype(dt)
             F[r + k:, c0:] = F[rest, c0:]
@@ -196,6 +192,12 @@ def rref(a, p: int):
     R = asmod(a, p)
     if R.ndim != 2:
         raise ValueError("rref expects a matrix")
+    return _rref(R, p)
+
+
+def _rref(R: np.ndarray, p: int):
+    """:func:`rref` of the int64 matrix R, whose entries must lie in [0, p),
+    computed in place."""
     rows, cols = R.shape
     if rows <= 16 or cols <= 128:
         return _rref_naive(R, p)[:2]
@@ -324,12 +326,11 @@ class Echelon:
     def add_rows(self, w: np.ndarray) -> np.ndarray:
         """Insert row vectors; returns reduced echelon rows that were new."""
         p = self.p
-        w = self.residual(w)
-        if w.ndim == 1:
-            w = w.reshape(1, -1)
+        w = asmod(w, p)
+        w = self._cancel(w.reshape(1, -1) if w.ndim == 1 else w)
         # rows inside the span leave zero residuals; the reduced echelon form
         # of the rest is the same
-        R, piv = rref(w[w.any(axis=1)], p)
+        R, piv = _rref(w[w.any(axis=1)], p)
         if not piv:
             return np.zeros((0, self.n), dtype=np.int64)
         if self.dim:
@@ -368,9 +369,9 @@ class ActionStack:
 
     ``lifted`` is the read-only (k, d, d) array of the transposes A_i^T, the
     blocks of [A_1^T | ... | A_k^T], in the dtype of :func:`_lift` for inner
-    dimensions up to max(d, k): int64 once no float dtype is exact.  Row
-    vectors times ``lifted`` are their images under every action, generator
-    by generator, in one product.  The actions must have entries in [0, p).
+    dimensions up to max(d, k): int64 once no float dtype is exact.  The
+    products with the actions are methods, each one product against the
+    stack, reduced once.  The actions must have entries in [0, p).
     """
 
     def __init__(self, actions, p: int):
@@ -392,11 +393,26 @@ class ActionStack:
         for At in self.lifted:
             yield At.T.astype(np.int64, order="C")
 
-    def images(self, rows: np.ndarray) -> np.ndarray:
-        """(k, r, d): the images A_i v of the rows v of ``rows`` (entries in
-        [0, p)), as rows, unreduced in the stack's float dtype, or reduced
-        int64 past float64."""
-        return _times(rows, self.lifted, self.p)
+    def _product(self, a, blocks) -> np.ndarray:
+        """``a`` (reduced on entry) times blocks of the stack, reduced."""
+        return asmod(_times(asmod(a, self.p), blocks, self.p), self.p)
+
+    def images(self, rows) -> np.ndarray:
+        """(k, r, d): the images A_i v of the rows v of ``rows`` under every
+        action, as rows, generator by generator."""
+        return self._product(rows, self.lifted)
+
+    def image(self, rows, i: int) -> np.ndarray:
+        """(r, d): the images A_i v of the rows v of ``rows``, as rows."""
+        return self._product(rows, self.lifted[i])
+
+    def premultiplied(self, theta, i: int) -> np.ndarray:
+        """θ A_i for a matrix θ with d columns."""
+        return self._product(theta, self.lifted[i].T)
+
+    def columns(self, cols) -> np.ndarray:
+        """(k, len(cols), d): the columns ``cols`` of every A_i, as rows."""
+        return asmod(self.lifted[:, cols], self.p)
 
     def combination(self, coeffs) -> np.ndarray:
         """Σ c_i A_i mod p as an int64 matrix, one contraction of the stack."""

@@ -38,55 +38,39 @@ SWEEP_ROWS = 64        # basis rows whose images _standard_basis takes in one pr
 # subspace machinery
 
 
-def _as_stack(actions, p: int) -> linalg.ActionStack:
-    """The actions as a lifted stack; matrices (entries in [0, p)) are lifted."""
-    return actions if isinstance(actions, linalg.ActionStack) else linalg.ActionStack(actions, p)
+def spin(stack: linalg.ActionStack, seeds, p: int) -> linalg.Echelon:
+    """Smallest invariant subspace containing the seed row vectors.
 
-
-def spin(actions, seeds, p: int) -> linalg.Echelon:
-    """Smallest action-invariant subspace containing the seed row vectors.
-
-    ``actions`` is an :class:`~currentrep.linalg.ActionStack`, or matrices
-    with entries in [0, p), lifted into one.  Each step takes the images of
-    the whole frontier under every generator with one product against the
-    stack [A_1^T | ... | A_k^T].
+    Each step takes the images of the whole frontier under every generator
+    with one product against the stack.
     """
     seeds = np.asarray(seeds, dtype=np.int64)
     d = seeds.shape[-1]
     ech = linalg.Echelon(d, p)
     frontier = ech.add_rows(seeds.reshape(-1, d))
-    if not len(actions):
-        return ech
-    stack = _as_stack(actions, p)
-    k = stack.k
     while frontier.shape[0] and ech.dim < d:
-        # generator-major rows (the images under A_1, then A_2, ...);
-        # add_rows reduces them mod p
-        batch = stack.images(frontier).astype(np.int64, copy=False)
-        frontier = ech.add_rows(batch.reshape(k * frontier.shape[0], d))
+        # generator-major rows (the images under A_1, then A_2, ...)
+        frontier = ech.add_rows(stack.images(frontier).reshape(-1, d))
     return ech
 
 
-def restrict_actions(actions, ech: linalg.Echelon, p: int) -> linalg.ActionStack:
+def restrict_actions(stack: linalg.ActionStack, ech: linalg.Echelon,
+                     p: int) -> linalg.ActionStack:
     """Actions on a spanned invariant subspace, in its row basis."""
-    # images of the basis rows under every action in one product, unreduced;
-    # coords reduces them once.  Row r of the coordinates of the images under
-    # A is column r of the restricted action.
-    imgs = _as_stack(actions, p).images(ech.rows)
-    return linalg.ActionStack([ech.coords(img).T for img in imgs], p)
+    # row r of the coordinates of the images under A is column r of the
+    # restricted action
+    return linalg.ActionStack([ech.coords(img).T for img in stack.images(ech.rows)], p)
 
 
-def quotient_actions(actions, ech: linalg.Echelon, p: int):
+def quotient_actions(stack: linalg.ActionStack, ech: linalg.Echelon, p: int):
     """Actions on the quotient by a spanned invariant subspace, and the
     non-pivot columns whose unit vectors represent its basis."""
-    stack = _as_stack(actions, p)
-    d = stack.d
-    free = np.ones(d, dtype=bool)
+    free = np.ones(stack.d, dtype=bool)
     free[ech.pivots] = False
     npiv = np.flatnonzero(free).tolist()
-    # row j of A^T is A e_j: the images of the representative vectors,
+    # column j of A is A e_j: the images of the representative vectors,
     # reduced modulo the span, as rows
-    return linalg.ActionStack([ech.residual(At[npiv])[:, npiv].T for At in stack.lifted],
+    return linalg.ActionStack([ech.residual(c)[:, npiv].T for c in stack.columns(npiv)],
                               p), npiv
 
 
@@ -192,7 +176,7 @@ def _norton_transpose(transposed, fw: np.ndarray, p: int):
     return ech
 
 
-def find_invariant_subspace(actions, p: int, rng):
+def find_invariant_subspace(stack: linalg.ActionStack, p: int, rng):
     """A proper invariant subspace (echelon) or None when certified irreducible.
 
     Each random word w is searched in two stages of polynomials f: the
@@ -202,7 +186,6 @@ def find_invariant_subspace(actions, p: int, rng):
     that spin and the transposed one are both full the module is certified
     irreducible (Norton's test).
     """
-    stack = _as_stack(actions, p)
     d = stack.d
     if d <= 1:
         return None
@@ -339,7 +322,7 @@ def _central_scalars(M: ModuleRep):
     return tuple(out)
 
 
-def _standard_basis(actions, v, p, schedule=None):
+def _standard_basis(stack: linalg.ActionStack, v, p, schedule=None):
     """Spin one vector in deterministic order; (basis rows, schedule).
 
     The schedule lists the (basis row, generator slot) steps whose image was
@@ -348,7 +331,6 @@ def _standard_basis(actions, v, p, schedule=None):
     rows not yet swept, up to SWEEP_ROWS of them, come from one product
     against the stack.
     """
-    stack = _as_stack(actions, p)
     d = stack.d
     ech = linalg.Echelon(d, p)
     basis = [np.asarray(v, dtype=np.int64) % p]
@@ -364,7 +346,7 @@ def _standard_basis(actions, v, p, schedule=None):
     while i < len(basis) and ech.dim < d:
         if i == swept:
             rows = np.stack(basis[i:i + SWEEP_ROWS])
-            batch = linalg.asmod(stack.images(rows), p)
+            batch = stack.images(rows)
             first, swept = i, i + rows.shape[0]
         imgs = batch[:, i - first]
         res = ech.residual(imgs)
@@ -387,15 +369,10 @@ def _standard_basis(actions, v, p, schedule=None):
 
 
 def _intertwines(theta, stackM: linalg.ActionStack, stackN: linalg.ActionStack, p) -> bool:
-    """θ ρ_M(g) = ρ_N(g) θ for every generator g, in two products: θ times
-    [A_1 | ... | A_k] and [B_1; ...; B_k] times θ, both read off the stacks."""
-    dN, dM = theta.shape
-    k = stackM.k
-    # row (i, l) of the (k dM, dM) view of M's stack is column l of A_i
-    left = linalg.asmod(linalg._times(theta, stackM.lifted.reshape(k * dM, dM).T, p), p)
-    # θ^T B_i^T = (B_i θ)^T
-    right = linalg.asmod(linalg._times(theta.T, stackN.lifted, p), p)
-    return np.array_equal(left.reshape(dN, k, dM), right.transpose(2, 0, 1))
+    """θ ρ_M(g) = ρ_N(g) θ for every generator g, one generator at a time:
+    θ A_i against B_i θ, the images of the columns of θ under B_i."""
+    return all(np.array_equal(stackM.premultiplied(theta, i), stackN.image(theta.T, i).T)
+               for i in range(stackM.k))
 
 
 def _match_standard_basis(sbM, schedule, seeds, stackM, stackN, p):
@@ -733,7 +710,6 @@ def _verma_columns(stack: linalg.ActionStack, comp_slots, w, p: int) -> np.ndarr
     rows[0] = w
     for j in range(k - 1, -1, -1):
         s = p ** (k - 1 - j)
-        At = stack.lifted[comp_slots[j]]
         for t in range(1, p):
-            rows[t * s:(t + 1) * s] = linalg.asmod(linalg._times(rows[(t - 1) * s:t * s], At, p), p)
+            rows[t * s:(t + 1) * s] = stack.image(rows[(t - 1) * s:t * s], comp_slots[j])
     return np.ascontiguousarray(rows.T)

@@ -482,40 +482,37 @@ def _gl_classification_checks(rep, cfg, alg, emat, pname, limit):
             {"partition": list(cls.levi.partition)},
             [total // cls.predicted_count], class_sizes, cfg.seed)
 
-    # within-class witnesses: explicit Verma intertwiners
+    # within-class witnesses: explicit Verma intertwiners; cross-class: the
+    # heads of consecutive representatives, cyclically, are non-isomorphic.
+    # One rolling pass holds only the first, the previous and the next head.
     within_ok = []
-    heads = []
+    head_dims = set()
+    first = prev = None
+    cross_bad = 0
+    pairs = 0
     for cl in cls.classes:
         lam, mu = cl[0], cl[1]
         Zl = build_baby_verma(chi, lam, limit=limit)
         Zm = build_baby_verma(chi, mu, limit=limit)
-        theta = verma_intertwiner(Zm, Zl, mu)
-        within_ok.append(theta is not None)
-        heads.append((cl[0], Zl))
+        within_ok.append(verma_intertwiner(Zm, Zl, mu) is not None)
+        del Zm  # and its lifted stack, before the head of Z_lam is taken
+        H = Zl if is_irreducible(Zl, seed=cfg.seed) else head(Zl, seed=cfg.seed)
+        head_dims.add(H.dim)
+        if prev is None:
+            first = H
+        else:
+            pairs += 1
+            cross_bad += are_isomorphic(prev, H, seed=cfg.seed)[0]
+        prev = H
+    if len(cls.classes) > 1:
+        pairs += 1
+        cross_bad += are_isomorphic(prev, first, seed=cfg.seed)[0]
     rep.add(f"within-class baby Vermas are isomorphic (partition {list(cls.levi.partition)})",
             "λ|_{z(g_I)} = μ|_{z(g_I)}",
             {"pairs": len(within_ok)}, [True] * len(within_ok), within_ok, cfg.seed)
-
-    # cross-class: heads of representatives are pairwise non-isomorphic
-    head_reps = []
-    for lam, Z in heads:
-        if is_irreducible(Z, seed=cfg.seed):
-            head_reps.append(Z)
-        else:
-            head_reps.append(head(Z, seed=cfg.seed))
-    cross_bad = 0
-    pairs = 0
-    for i in range(len(head_reps)):
-        j = (i + 1) % len(head_reps)
-        if i == j:
-            continue
-        pairs += 1
-        flag, _ = are_isomorphic(head_reps[i], head_reps[j], seed=cfg.seed)
-        if flag:
-            cross_bad += 1
     rep.add(f"cross-class simple quotients are non-isomorphic (partition {list(cls.levi.partition)})",
             "λ|_{z(g_I)} = μ|_{z(g_I)}",
-            {"pairs": pairs, "head_dims": sorted({h.dim for h in head_reps})},
+            {"pairs": pairs, "head_dims": sorted(head_dims)},
             0, cross_bad, cfg.seed)
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from currentrep import linalg
 from currentrep.errors import NoSolution
@@ -32,13 +32,18 @@ def test_solve_inconsistent():
         linalg.solve(A, np.array([1, 2]), 3)
 
 
-@given(st.integers(0, 10 ** 6))
-def test_rref_blocked_matches_naive(seed):
+@given(st.integers(0, 10 ** 6), st.sampled_from([None, (40, 45, 3), (70, 30, 30)]))
+@example(0, (40, 45, 3))   # rank 3: every 7-column slab has fewer than 7 pivots
+@example(0, (70, 30, 30))  # more rows than columns
+def test_rref_blocked_matches_naive(seed, shape):
     rng = np.random.default_rng(seed)
     p = int(rng.choice([2, 3, 5]))
-    rows = int(rng.integers(1, 60))
-    cols = int(rng.integers(1, 60))
-    r = int(rng.integers(1, min(rows, cols) + 1))
+    if shape is None:
+        rows = int(rng.integers(1, 60))
+        cols = int(rng.integers(1, 60))
+        r = int(rng.integers(1, min(rows, cols) + 1))
+    else:
+        rows, cols, r = shape
     A = linalg.matmul(rng.integers(0, p, (rows, r)), rng.integers(0, p, (r, cols)), p)
     R1, p1, _ = linalg._rref_naive(A.copy(), p)
     R2, p2 = linalg._rref_blocked(A.copy(), p, nb=7)
@@ -135,7 +140,8 @@ def test_products_past_float64_are_exact(p):
     a = rng.integers(0, p, (5, 7))
     b = rng.integers(0, p, (7, 3))
     assert np.array_equal(linalg.matmul(a, b, p), _py_mul(a, b, p))
-    assert np.array_equal(linalg._mul_reduced(a, b, p), _py_mul(a, b, p))
+    # operands outside [0, p) are reduced on entry
+    assert np.array_equal(linalg.matmul(a + p, b - 2 * p, p), _py_mul(a, b, p))
 
 
 @pytest.mark.parametrize("p", [3, 131, 2 ** 31 - 1])
@@ -211,10 +217,20 @@ def test_action_stack_holds_the_actions(p):
     imgs = np.asarray(stack.images(v), dtype=np.int64) % p
     c = rng.integers(0, p, 3)
     comb = np.zeros((5, 5), dtype=object)
+    theta = rng.integers(0, p, (4, 5))
+    cols = [4, 0, 2]
+    got_cols = stack.columns(cols)
+    assert got_cols.dtype == np.int64 and got_cols.shape == (3, 3, 5)
     for i, A in enumerate(acts):
         want = (A.astype(object) @ v.T.astype(object) % p).T
         assert np.array_equal(imgs[i], want.astype(np.int64))
         comb += int(c[i]) * A.astype(object)
+        # every product method returns reduced int64
+        for got, ref in [(stack.images(v)[i], want), (stack.image(v, i), want),
+                         (stack.premultiplied(theta, i), _py_mul(theta, A, p)),
+                         (got_cols[i], A[:, cols].T)]:
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.asarray(ref, dtype=np.int64))
     assert np.array_equal(stack.combination(c), (comb % p).astype(np.int64))
 
 

@@ -3,9 +3,11 @@
 ``python -O`` strips ``assert`` statements, so library invariants raise
 ``InternalError``; a handler for ``Exception`` (or a bare ``except``)
 would turn a bug into an ordinary-looking outcome; an import inside a
-function hides a module's dependencies from its header; and renaming a
+function hides a module's dependencies from its header; renaming a
 function that the benchmark wraps by name would only show when the
-benchmark runs.
+benchmark runs; and code outside ``linalg`` that reads its private helpers
+or the lifted action stack depends on how F_p values are held in flight,
+which only ``linalg`` may know.
 """
 
 import ast
@@ -50,6 +52,25 @@ def test_imports_only_at_module_level():
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top:
                 found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert found == []
+
+
+def test_linalg_format_stays_in_linalg():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            where = f"{path.relative_to(SRC)}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Attribute):
+                private = (isinstance(node.value, ast.Name) and node.value.id == "linalg"
+                           and node.attr.startswith("_"))
+                if private or node.attr == "lifted":
+                    found.append(f"{where} .{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                found += [f"{where} import {a.name}" for a in node.names
+                          if a.name.startswith("_")]
     assert found == []
 
 

@@ -38,7 +38,7 @@ def restricted_simples():
 def test_spin_highest_vector_generates():
     chi = PChar.zero(SL2)
     Z = build_baby_verma(chi, enumerate_lambda(chi)[0])
-    acts = [Z.action(i) for i in range(len(Z.gens))]
+    acts = linalg.ActionStack([Z.action(i) for i in range(len(Z.gens))], 3)
     v = np.zeros(9, dtype=np.int64)
     v[0] = 1
     assert spin(acts, v, 3).dim == 9
@@ -48,7 +48,7 @@ def test_spin_highest_vector_generates():
 def test_spin_proper_submodule_m0():
     chi0 = PChar.zero(SL2_0)
     Z = build_baby_verma(chi0, enumerate_lambda(chi0)[0])
-    acts = [Z.action(i) for i in range(len(Z.gens))]
+    acts = linalg.ActionStack([Z.action(i) for i in range(len(Z.gens))], 3)
     # lowest vector f^2 ⊗ 1 spans a proper 2-dimensional submodule of Z(0)
     v = np.zeros(3, dtype=np.int64)
     v[2] = 1
@@ -276,7 +276,7 @@ def test_chop_regular_module_small():
 def test_submodule_quotient_shapes():
     chi = PChar.zero(SL2)
     Z = build_baby_verma(chi, enumerate_lambda(chi)[0])
-    acts = [Z.action(i) for i in range(len(Z.gens))]
+    acts = linalg.ActionStack([Z.action(i) for i in range(len(Z.gens))], 3)
     v = np.zeros(9, dtype=np.int64)
     v[8] = 1
     sub = spin(acts, v, 3)
@@ -314,9 +314,10 @@ def test_standard_basis_matches_one_step_spin_and_replays():
     Z0 = build_baby_verma(chi, lams[0])
     Z1 = build_baby_verma(chi, lams[1])
     acts = [Z0.action(i) for i in range(len(Z0.gens))]
+    stack = linalg.ActionStack(acts, 3)
     rng = np.random.default_rng(2)
     for v in [np.eye(Z0.dim, dtype=np.int64)[-1], rng.integers(0, 3, Z0.dim)]:
-        basis, steps = _standard_basis(acts, v, 3)
+        basis, steps = _standard_basis(stack, v, 3)
         ref_basis, ref_steps = _one_step_standard_basis(acts, v, 3)
         assert steps == ref_steps
         assert np.array_equal(basis, ref_basis)
@@ -324,8 +325,8 @@ def test_standard_basis_matches_one_step_spin_and_replays():
     flag, theta = are_isomorphic(Z0, Z1, seed=4)
     assert flag
     v = np.eye(Z0.dim, dtype=np.int64)[-1]
-    basis, steps = _standard_basis(acts, v, 3)
-    acts1 = [Z1.action(i) for i in range(len(Z1.gens))]
+    basis, steps = _standard_basis(stack, v, 3)
+    acts1 = linalg.ActionStack([Z1.action(i) for i in range(len(Z1.gens))], 3)
     replay = _standard_basis(acts1, linalg.matmul(theta, v.reshape(-1, 1), 3).ravel(), 3, steps)
     assert replay is not None and replay[1] == steps
     # a module of another dimension pattern departs from it
@@ -393,28 +394,29 @@ def test_spin_restrict_quotient_match_one_generator_reference(p):
     assert (linalg._float_dtype(d, p) is None) == (p > 131)
     rng = np.random.default_rng(p % 101)
     acts, P = _triangular_actions(d, 3, 3, p, rng)
+    stack = linalg.ActionStack(acts, p)
     inside = _py_mul(P[:, :3], rng.integers(0, p, (3, 1)), p).T
     for seeds in [inside, rng.integers(0, p, (2, d)), np.zeros((0, d), dtype=np.int64)]:
-        ech = spin(acts, seeds, p)
+        ech = spin(stack, seeds, p)
         rows, piv = _reference_spin(acts, seeds, p)
         assert ech.pivots == piv
         assert np.array_equal(ech.rows, rows)
         if not 0 < ech.dim < d:
             continue
-        for got, want in zip(restrict_actions(acts, ech, p),
+        for got, want in zip(restrict_actions(stack, ech, p),
                              _reference_restrict(acts, rows, piv, p)):
             assert np.array_equal(got, want)
-        got, npiv = quotient_actions(acts, ech, p)
+        got, npiv = quotient_actions(stack, ech, p)
         want, want_npiv = _reference_quotient(acts, rows, piv, p)
         assert npiv == want_npiv
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
-    assert spin(acts, inside, p).dim == 3
+    assert spin(stack, inside, p).dim == 3
     # a subspace that is not invariant has no restriction
     ech = linalg.Echelon(d, p)
     ech.add_rows(np.eye(d, dtype=np.int64)[:2])
     with pytest.raises(NoSolution):
-        restrict_actions(acts, ech, p)
+        restrict_actions(stack, ech, p)
 
 
 def test_int64_stack_runs_spin_standard_basis_and_intertwines_exactly():
