@@ -19,7 +19,6 @@ import numpy as np
 
 from . import linalg
 from .errors import AlgebraMismatch, InternalError, InvalidDescriptor
-from .truncpoly import TruncPoly
 
 
 def is_prime(p: int) -> bool:

@@ -13,7 +13,7 @@ import sys
 from .algebra import AlgebraDescriptor, CurrentElement, classify_element, centralizer_dim, is_regular
 from .errors import CurrentRepError, InvalidDescriptor, TooLarge
 from .meataxe import weight_character
-from .modrep import ModuleRep, check_module_axioms
+from .modrep import DEFAULT_LIMIT, ModuleRep, check_module_axioms
 from .pchar import PChar, pchar_from_element, support_degree, pchar_jordan
 from .suites import SUITES, SuiteConfig, run_suite
 
@@ -32,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("-m", type=int, required=True)
     v.add_argument("--seed", type=int, default=7)
     v.add_argument("--samples", type=int, default=200)
-    v.add_argument("--limit", type=int, default=2000)
+    v.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
     v.add_argument("--format", choices=["json", "tsv", "pretty"], default="pretty")
     v.add_argument("--out", default=None)
     v.add_argument("--strict", action="store_true")

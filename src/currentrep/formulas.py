@@ -17,8 +17,8 @@ from .errors import (BadCharacter, FormulaDomainError, Inconclusive,
                      InternalError, NeedsFieldExtension, OutOfScope, TooLarge)
 from .meataxe import (SimpleCatalog, are_isomorphic, chop, head, hom_space,
                       is_irreducible)
-from .modrep import (LambdaWeight, build_baby_verma, build_regular_module,
-                     build_Zproj, enumerate_lambda)
+from .modrep import (DEFAULT_LIMIT, LambdaWeight, build_baby_verma,
+                     build_regular_module, build_Zproj, enumerate_lambda)
 from .pchar import (PChar, pchar_from_element, random_pchar, stabilizer_dim,
                     standard_levi_form, support_degree, truncate_pchar)
 
@@ -366,18 +366,20 @@ def _simple_factors_via_vermas(chi: PChar, seed: int, limit: int):
 
 
 def kw_scan(alg: AlgebraDescriptor, samples: int, seed: int,
-            regular_limit: int = 800, verma_limit: int = 2000,
+            regular_limit: int = 800, limit: int = DEFAULT_LIMIT,
             full_chop_budget: int = 3) -> KWReport:
     """Sampled verification of the two Kac-Weisfeiler statements.
 
     For each sampled character the orbit defect is computed exactly.  Simple
     modules are enumerated through the χ-regular module when its dimension
-    (after degree reduction) is within the limit, else through baby Verma
-    factors when the character admits them.  Every constructed simple is
-    checked for the divisibility statement.  Simples over a larger
-    endomorphism field split after base change, so their dimensions are
-    divided by the verified endomorphism degree before the maximal-dimension
-    comparison; the divisibility check applies to them unchanged.
+    (after degree reduction) is within ``regular_limit`` (130 once the
+    budget of full chops is spent), else through baby Verma factors when
+    the character admits them; no module above ``limit`` is built.  Every
+    constructed simple is checked for the divisibility statement.  Simples
+    over a larger endomorphism field split after base change, so their
+    dimensions are divided by the verified endomorphism degree before the
+    maximal-dimension comparison; the divisibility check applies to them
+    unchanged.
     """
     report = KWReport(alg.label(), samples, seed,
                       alg.p ** ((alg.m + 1) * alg.num_pos_roots), 0, False, [])
@@ -397,15 +399,15 @@ def kw_scan(alg: AlgebraDescriptor, samples: int, seed: int,
         route = None
         try:
             size = psi.alg.p ** get_context(psi.alg).dim
-            if size <= regular_limit and full_chops < full_chop_budget:
-                factors = _simple_factors_via_regular(psi, seed, regular_limit)
+            if size <= min(regular_limit, limit) and full_chops < full_chop_budget:
+                factors = _simple_factors_via_regular(psi, seed, limit)
                 route = "regular"
                 full_chops += 1
-            elif size <= 130:
-                factors = _simple_factors_via_regular(psi, seed, 130)
+            elif size <= min(130, limit):
+                factors = _simple_factors_via_regular(psi, seed, limit)
                 route = "regular"
             else:
-                factors = _simple_factors_via_vermas(psi, seed, verma_limit)
+                factors = _simple_factors_via_vermas(psi, seed, limit)
                 route = "verma" if factors is not None else None
         except Inconclusive:
             report.notes.append((i, "decomposition inconclusive"))
@@ -435,7 +437,7 @@ def kw_scan(alg: AlgebraDescriptor, samples: int, seed: int,
     wit = _regular_semisimple_borel_witness(alg, wit_rng)
     if wit is not None:
         lam = enumerate_lambda(wit)[0]
-        Z = build_baby_verma(wit, lam, limit=verma_limit)
+        Z = build_baby_verma(wit, lam, limit=limit)
         if Z.dim == report.kw1_bound and is_irreducible(Z, seed=seed):
             report.kw1_attained = True
             report.max_simple_dim = max(report.max_simple_dim, Z.dim)
@@ -487,7 +489,7 @@ class SemisimpleAuditReport:
 
 
 def semisimple_character_audit(alg: AlgebraDescriptor, seed: int = 0,
-                               limit: int = 2000) -> SemisimpleAuditReport:
+                               limit: int = DEFAULT_LIMIT) -> SemisimpleAuditReport:
     """Audit the module structure at a distinguished regular toral character.
 
     Uses χ dual to a regular degree-0 toral element: Borel induction of the

@@ -17,11 +17,14 @@ check and a copy.  The private helpers (``_lift``, ``_times``, ``_rref``,
 ``_rref_naive``, ``_rref_blocked``, ``Echelon._cancel``) trust their input
 to lie in [0, p) and never reduce it again; ``_times`` returns exact
 products unreduced in the float dtype of ``_lift``, and the caller in this
-module reduces each such product once, before it leaves.  Module actions are
-reduced once, where ``modrep.ModuleRep`` stores them, and lifted once into
-an :class:`ActionStack`, the read-only [A_1^T | ... | A_k^T] in the exact
-dtype of ``_lift``; its methods give every product that the MeatAxe takes
-with the actions (images of rows, θ A_i, columns of A_i), reduced.
+module reduces each such product once, before it leaves.  A
+``modrep.ModuleRep`` holds its actions in one of two forms: the matrices it
+was built from, reduced once where it stores them, or, from the first
+product on, an :class:`ActionStack`, the read-only [A_1^T | ... | A_k^T]
+in the exact dtype of ``_lift``, lifted once and kept in place of them.
+The stack's methods give every product that the MeatAxe takes with the
+actions (images of rows, θ A_i, columns of A_i) and each action itself,
+reduced.
 """
 
 from __future__ import annotations
@@ -230,13 +233,16 @@ def joint_kernel(mats, p: int) -> np.ndarray:
     same basis that ``kernel(np.vstack(mats))`` returns.
 
     The kernels are intersected one matrix at a time, so each elimination
-    sees one matrix restricted to the space left so far.  The reduced
-    echelon basis of the result with its columns reversed has its pivots on
-    the free columns; read back in the original order, that is the basis in
-    reduced echelon shape with respect to the free columns.
+    sees one matrix restricted to the space left so far; ``mats`` may be any
+    iterable, read one matrix at a time and no further once the space left
+    is zero.  The reduced echelon basis of the result with its columns
+    reversed has its pivots on the free columns; read back in the original
+    order, that is the basis in reduced echelon shape with respect to the
+    free columns.
     """
-    K = kernel(mats[0], p)
-    for a in mats[1:]:
+    mats = iter(mats)
+    K = kernel(next(mats), p)
+    for a in mats:
         if not K.shape[0]:
             break
         K = matmul(kernel(matmul(a, K.T, p), p), K, p)
@@ -390,8 +396,12 @@ class ActionStack:
 
     def __iter__(self):
         """The actions, as fresh int64 matrices."""
-        for At in self.lifted:
-            yield At.T.astype(np.int64, order="C")
+        for i in range(self.k):
+            yield self.action(i)
+
+    def action(self, i: int) -> np.ndarray:
+        """A_i as a fresh int64 matrix."""
+        return self.lifted[i].T.astype(np.int64, order="C")
 
     def _product(self, a, blocks) -> np.ndarray:
         """``a`` (reduced on entry) times blocks of the stack, reduced."""

@@ -86,10 +86,9 @@ def quotient_rep(M: ModuleRep, ech: linalg.Echelon) -> ModuleRep:
 def invariant_subspace(M: ModuleRep, subalgebra_indices) -> np.ndarray:
     """Joint kernel of the actions of the given global basis elements."""
     slots = {g: i for i, g in enumerate(M.gens)}
-    mats = [M.actions[slots[g]] for g in subalgebra_indices]
-    if not mats:
+    if not subalgebra_indices:
         return np.eye(M.dim, dtype=np.int64)
-    return linalg.joint_kernel(mats, M.alg.p)
+    return linalg.joint_kernel((M.action(slots[g]) for g in subalgebra_indices), M.alg.p)
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +268,13 @@ def weight_character(M: ModuleRep) -> CharacterTable:
     ctx = get_context(M.alg)
     p = M.alg.p
     slots = {g: i for i, g in enumerate(M.gens)}
-    toral = [g for g in ctx.torus_indices if ctx.meta[g].degree == 0]
-    for g in toral:
-        A = M.action(slots[g])
+    toral = [M.action(slots[g]) for g in ctx.torus_indices if ctx.meta[g].degree == 0]
+    for A in toral:
         if not np.array_equal(linalg.matpow(A, p, p), A):
             raise NotWeightModule("toral action is not semisimple over F_p")
     spaces = [((), np.eye(M.dim, dtype=np.int64))]
-    for g in toral:
-        stack = linalg.ActionStack([M.actions[slots[g]]], p)
+    for A in toral:
+        stack = linalg.ActionStack([A], p)
         new = []
         for tag, rows in spaces:
             sub = linalg.Echelon(M.dim, p)
@@ -309,16 +307,14 @@ def graded_character(M: ModuleRep) -> CharacterTable:
 
 def _central_scalars(M: ModuleRep):
     """Scalars of the central basis elements, None entries when non-scalar."""
-    ctx = get_context(M.alg)
-    p = M.alg.p
-    slots = {g: i for i, g in enumerate(M.gens)}
+    central = ~get_context(M.alg).bracket_coords.any(axis=(1, 2))
     out = []
-    for g in M.gens:
-        if np.any(ctx.bracket_coords[g]):
-            continue
-        A = M.action(slots[g])
-        c = int(A[0, 0])
-        out.append((g, c if np.array_equal(A, c * np.eye(M.dim, dtype=np.int64) % p) else None))
+    for slot, g in enumerate(M.gens):
+        if central[g]:
+            A = M.action(slot)
+            c = int(A[0, 0])
+            out.append((g, c if np.array_equal(A, c * np.eye(M.dim, dtype=np.int64) % M.alg.p)
+                        else None))
     return tuple(out)
 
 
@@ -408,7 +404,7 @@ def are_isomorphic(M: ModuleRep, N: ModuleRep, seed: int = 0):
     if _central_scalars(M) != _central_scalars(N):
         return False, None
     p = M.alg.p
-    if all(np.array_equal(a, b) for a, b in zip(M.actions, N.actions)):
+    if all(np.array_equal(M.action(i), N.action(i)) for i in range(len(M.gens))):
         return True, np.eye(M.dim, dtype=np.int64)
     stackM, stackN = M.stack, N.stack
     rng = np.random.default_rng((seed, 0x150))
@@ -440,30 +436,24 @@ def are_isomorphic(M: ModuleRep, N: ModuleRep, seed: int = 0):
 class SimpleCatalog:
     """Append-only catalog of pairwise non-isomorphic simple modules."""
 
-    entries: list = field(default_factory=list)  # (id, rep, label, invariants)
+    entries: list = field(default_factory=list)  # (id, rep, invariants)
     seed: int = 0
 
-    def _invariants(self, rep: ModuleRep):
-        try:
-            wc = tuple(sorted(weight_character(rep).table.items()))
-        except NotWeightModule:
-            wc = None
-        return (rep.dim, wc, _central_scalars(rep))
-
     def match(self, rep: ModuleRep, label: str | None = None) -> str:
-        inv = self._invariants(rep)
-        for sid, existing, _lbl, existing_inv in self.entries:
+        # the invariants that are_isomorphic compares before its exact test
+        inv = (rep.dim, _central_scalars(rep))
+        for sid, existing, existing_inv in self.entries:
             if existing_inv != inv or existing.chi != rep.chi:
                 continue
             flag, _ = are_isomorphic(existing, rep, seed=self.seed)
             if flag:
                 return sid
         sid = label or f"S{len(self.entries)}(dim {rep.dim})"
-        self.entries.append((sid, rep, sid, inv))
+        self.entries.append((sid, rep, inv))
         return sid
 
     def get(self, sid: str) -> ModuleRep:
-        for s, rep, _l, _i in self.entries:
+        for s, rep, _i in self.entries:
             if s == sid:
                 return rep
         raise KeyError(sid)
@@ -574,25 +564,13 @@ def hom_space(S: ModuleRep, M: ModuleRep):
     """Basis of Hom(S, M) as matrices theta with theta ρ_S(g) = ρ_M(g) theta."""
     if S.dim * M.dim > HOM_GUARD:
         raise TooLarge("hom-space solve exceeds the size guard")
-    p = M.alg.p
-    n_unknowns = S.dim * M.dim
-    # iterate kernel intersection one generator at a time to bound memory
-    sol = np.eye(n_unknowns, dtype=np.int64)
-    for slot in range(len(M.gens)):
-        a = S.action(slot)
-        b = M.action(slot)
-        block = (np.kron(a.T, np.eye(M.dim, dtype=np.int64))
-                 - np.kron(np.eye(S.dim, dtype=np.int64), b)) % p
-        constrained = linalg.matmul(block, sol.T, p)
-        coeff_kernel = linalg.kernel(constrained, p)
-        sol = linalg.matmul(coeff_kernel, sol, p)
-        if sol.shape[0] == 0:
-            return []
-    out = []
-    for vec in sol:
-        theta = vec.reshape(S.dim, M.dim).T % p
-        out.append(theta)
-    return out
+    # theta is the (S.dim, M.dim) array of its unknowns, transposed; one
+    # constraint block per generator, built as the joint kernel reads it
+    eyeS = np.eye(S.dim, dtype=np.int64)
+    eyeM = np.eye(M.dim, dtype=np.int64)
+    blocks = (np.kron(S.action(i).T, eyeM) - np.kron(eyeS, M.action(i))
+              for i in range(len(M.gens)))
+    return [vec.reshape(S.dim, M.dim).T for vec in linalg.joint_kernel(blocks, M.alg.p)]
 
 
 def socle_rows(M: ModuleRep, seed: int = 0) -> np.ndarray:
@@ -631,15 +609,17 @@ def highest_weight_vectors(N: ModuleRep, lam) -> np.ndarray:
     """Joint kernel rows: vectors killed by the positive part on which every
     toral basis element acts by the given weight (all t-degrees)."""
     ctx = get_context(N.alg)
-    p = N.alg.p
     slots = {g: i for i, g in enumerate(N.gens)}
     eye = np.eye(N.dim, dtype=np.int64)
-    mats = [N.actions[slots[g]] for g in ctx.nplus_indices]
-    for idx in ctx.torus_indices:
-        meta = ctx.meta[idx]
-        val = lam.value(meta.degree, meta.pos[0])
-        mats.append(N.actions[slots[idx]] - val * eye)
-    return linalg.joint_kernel(mats, p)
+
+    def mats():
+        for g in ctx.nplus_indices:
+            yield N.action(slots[g])
+        for idx in ctx.torus_indices:
+            meta = ctx.meta[idx]
+            yield N.action(slots[idx]) - lam.value(meta.degree, meta.pos[0]) * eye
+
+    return linalg.joint_kernel(mats(), N.alg.p)
 
 
 def _line_representatives(rows: np.ndarray, p: int, cap: int = 1000):

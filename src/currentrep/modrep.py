@@ -163,16 +163,18 @@ def _stored(a, p: int) -> np.ndarray:
 class ModuleRep:
     """Finite-dimensional U_χ-module for the subalgebra spanned by ``gens``.
 
-    ``actions[i]`` is the matrix of the basis element ``gens[i]`` acting on
-    column vectors, stored reduced mod p in the smallest unsigned dtype that
-    holds p - 1.  The constructor is the trusted boundary of the action
-    data: it reduces what it is given once, and nothing downstream reduces
-    an action again.  ``stack`` is the read-only
-    :class:`~currentrep.linalg.ActionStack` of the actions, lifted once on
-    first use (or handed in as ``actions``), that lives and dies with the
-    module; every product with the actions is taken against it.  Optional
-    per-basis-vector tags carry h*-weights, lattice gradings and the torus
-    t-degree filtration used by projective covers.
+    ``action(i)`` is the matrix of the basis element ``gens[i]`` acting on
+    column vectors, as a fresh int64 array.  The module holds its actions
+    in one of two forms.  A built module stores the matrices it is given,
+    reduced once mod p, in the smallest unsigned dtype that holds p - 1;
+    the constructor is the trusted boundary of the action data, and nothing
+    downstream reduces an action again.  ``stack`` is the read-only
+    :class:`~currentrep.linalg.ActionStack` of the actions, against which
+    every product with them is taken: on first use it replaces the stored
+    matrices, and a module made from a stack (a chop node, a restriction or
+    a quotient) holds only that stack.  Optional per-basis-vector tags
+    carry h*-weights, lattice gradings and the torus t-degree filtration
+    used by projective covers.
     """
 
     def __init__(self, alg, chi, gens, actions, weight_tags=None,
@@ -180,25 +182,29 @@ class ModuleRep:
         self.alg = alg
         self.chi = chi
         self.gens = tuple(gens)
-        self.actions = [_stored(a, alg.p) for a in actions]
-        self.dim = self.actions[0].shape[0] if self.actions else 0
+        if isinstance(actions, linalg.ActionStack):
+            self._actions = actions
+            self.dim = actions.d
+        else:
+            self._actions = [_stored(a, alg.p) for a in actions]
+            self.dim = self._actions[0].shape[0] if self._actions else 0
         self.weight_tags = weight_tags
         self.grading_tags = grading_tags
         self.tdeg_tags = tdeg_tags
         self.basis_labels = basis_labels
-        # a stack handed in (a chop node, a restriction or a quotient) holds
-        # these same actions
-        self._stack = actions if isinstance(actions, linalg.ActionStack) else None
 
     def action(self, i: int) -> np.ndarray:
-        return self.actions[i].astype(np.int64)
+        if isinstance(self._actions, linalg.ActionStack):
+            return self._actions.action(i)
+        return self._actions[i].astype(np.int64)
 
     @property
     def stack(self) -> linalg.ActionStack:
-        """The stored actions lifted once into a read-only stack."""
-        if self._stack is None:
-            self._stack = linalg.ActionStack(self.actions, self.alg.p)
-        return self._stack
+        """The actions lifted once into a read-only stack, which from then
+        on is the only copy the module holds."""
+        if not isinstance(self._actions, linalg.ActionStack):
+            self._actions = linalg.ActionStack(self._actions, self.alg.p)
+        return self._actions
 
     def action_of_coords(self, coords) -> np.ndarray:
         """Matrix of an arbitrary element given by global basis coordinates."""

@@ -26,16 +26,14 @@ from .formulas import (_regular_degree0_toral, blocks, cartan_formula,
 from .meataxe import (SimpleCatalog, are_isomorphic, chop, graded_character,
                       head, highest_weight_vectors, is_irreducible,
                       quotient_rep, spin, submodule_rep, verma_intertwiner)
-from .modrep import (LambdaWeight, build_baby_verma, build_dual_verma,
-                     build_regular_module, build_torus_projective,
-                     build_Zproj, enumerate_lambda, inflate)
+from .modrep import (DEFAULT_LIMIT, LambdaWeight, build_baby_verma,
+                     build_dual_verma, build_regular_module,
+                     build_torus_projective, build_Zproj, enumerate_lambda,
+                     inflate)
 from .invariants import independence_check, invariance_check
 from .pchar import (PChar, index_estimate, pchar_from_element,
                     stabilizer_dim, support_degree, truncate_pchar)
 from .report import SuiteReport
-
-
-DEFAULT_LIMIT = 2000
 
 
 @dataclass
@@ -365,14 +363,19 @@ def _zproj_filtration_multiplicities(Zp, alg, chi, lams, seed, limit):
     tags = np.array(Zp.tdeg_tags)
     counts = Counter()
     maxdeg = int(tags.max()) if len(tags) else 0
-    acts = Zp.actions
     vermas = {lam.degree_zero: build_baby_verma(chi, lam, limit=limit) for lam in lams}
     dimZ = alg.p ** ((alg.m + 1) * alg.num_pos_roots)
+
+    def section_blocks(d):
+        # one action at a time, so only its block of each is kept
+        for i in range(len(Zp.gens)):
+            A = Zp.action(i)
+            if np.any(A[np.ix_(tags < d, tags >= d)]):
+                raise InternalError("filtration subspace is not invariant")
+            yield A[np.ix_(tags == d, tags == d)]
+
     for d in range(maxdeg + 1):
-        if any(np.any(A[np.ix_(tags < d, tags >= d)]) for A in acts):
-            raise InternalError("filtration subspace is not invariant")
-        level = tags == d
-        section = type(Zp)(alg, chi, Zp.gens, [A[np.ix_(level, level)] for A in acts])
+        section = type(Zp)(alg, chi, Zp.gens, section_blocks(d))
         if section.dim == 0:
             continue
         if section.dim % dimZ:
@@ -590,7 +593,7 @@ def suite_kw(cfg: SuiteConfig) -> SuiteReport:
     rep = SuiteReport("kw", cfg.as_dict())
     regular_limit = 800 if (alg.p == 3 and alg.m == 1) else 130
     scan = kw_scan(alg, cfg.samples, cfg.seed, regular_limit=regular_limit,
-                   full_chop_budget=12)
+                   limit=effective_limit(cfg), full_chop_budget=12)
     rep.add("maximal constructed simple dimension attains the bound",
             "The first Kac-Weisfeiler conjecture holds",
             {"samples": cfg.samples, "routes": dict(scan.checked_simple_counts),

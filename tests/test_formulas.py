@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from currentrep import modrep
 from currentrep.algebra import AlgebraDescriptor, CurrentElement
 from currentrep.errors import FormulaDomainError, OutOfScope
 from currentrep.formulas import (blocks, cartan_formula, cartan_matrix_formula,
@@ -10,6 +11,7 @@ from currentrep.formulas import (blocks, cartan_formula, cartan_matrix_formula,
                                  verma_mult_formula)
 from currentrep.modrep import LambdaWeight
 from currentrep.pchar import PChar, pchar_from_element
+from currentrep.suites import SuiteConfig, run_suite
 
 SL2 = AlgebraDescriptor("sl", 2, 3, 1)
 
@@ -199,6 +201,22 @@ def test_kw_scan_small():
     assert report.max_simple_dim == 9
     assert report.kw1_attained
     assert report.kw2_violations == []
+
+
+def test_kw_suite_builds_no_module_above_its_limit(monkeypatch):
+    # at sl2 p3 m1 the scan's regular route would build the 729-dim module
+    built = []
+    build = modrep.build_induced
+
+    def recording(chi, comp, base, limit=modrep.DEFAULT_LIMIT):
+        out = build(chi, comp, base, limit)
+        built.append(out.dim)
+        return out
+
+    monkeypatch.setattr(modrep, "build_induced", recording)
+    rep = run_suite(SuiteConfig("sl", 2, 3, 1, suite="kw", seed=7, samples=6, limit=100))
+    assert built and max(built) <= 100
+    assert rep.checks
 
 
 def test_composition_sum_law_for_zproj():

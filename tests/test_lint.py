@@ -3,7 +3,8 @@
 ``python -O`` strips ``assert`` statements, so library invariants raise
 ``InternalError``; a handler for ``Exception`` (or a bare ``except``)
 would turn a bug into an ordinary-looking outcome; an import inside a
-function hides a module's dependencies from its header; renaming a
+function hides a module's dependencies from its header, and an import
+that nothing reads lists one that the module does not have; renaming a
 function that the benchmark wraps by name would only show when the
 benchmark runs; and code outside ``linalg`` that reads its private helpers
 or the lifted action stack depends on how F_p values are held in flight,
@@ -52,6 +53,25 @@ def test_imports_only_at_module_level():
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top:
                 found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert found == []
+
+
+def test_no_unused_imports_in_library_code():
+    # the package __init__ imports only to re-export
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        found.append(f"{path.relative_to(SRC)}:{node.lineno} {name}")
     assert found == []
 
 

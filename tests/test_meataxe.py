@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from currentrep import linalg
+from currentrep import linalg, meataxe
 from currentrep.algebra import AlgebraDescriptor, CurrentElement, get_context
 from currentrep.errors import NoSolution, NotGraded, NotWeightModule
 from currentrep.meataxe import (SimpleCatalog, _intertwines, _line_representatives,
@@ -81,6 +81,27 @@ def test_chop_deterministic_and_seed_independent(restricted_simples):
     b = chop(Z, seed=5, catalog=cat)
     c = chop(Z, seed=17, catalog=cat)
     assert a.factors == b.factors == c.factors
+
+
+def test_chop_does_not_need_weight_characters(monkeypatch):
+    # the catalog keys simples by dimension and central scalars and leaves
+    # the rest to the exact isomorphism test
+    chi = PChar.zero(SL2)
+
+    def series():
+        cat = SimpleCatalog(seed=4)
+        return [chop(build_baby_verma(chi, lam), seed=4, catalog=cat)
+                for lam in enumerate_lambda(chi)]
+
+    want = series()
+
+    def refuse(_M):
+        raise AssertionError("weight character computed")
+
+    monkeypatch.setattr(meataxe, "weight_character", refuse)
+    got = series()
+    assert [(s.factors, s.dims, s.retries) for s in got] == \
+        [(s.factors, s.dims, s.retries) for s in want]
 
 
 def test_chop_regular_nilpotent_verma_simple():

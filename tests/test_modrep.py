@@ -4,11 +4,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from currentrep import modrep
+from currentrep import linalg, modrep
 from currentrep.algebra import AlgebraDescriptor, CurrentElement, get_context
 from currentrep.errors import (BadCharacter, BadWeight, NeedsFieldExtension,
                                OutOfScope, TooLarge)
-from currentrep.modrep import (LambdaWeight, build_baby_verma,
+from currentrep.meataxe import (SimpleCatalog, chop, find_invariant_subspace,
+                               quotient_rep, submodule_rep)
+from currentrep.modrep import (LambdaWeight, ModuleRep, build_baby_verma,
                                build_dual_verma, build_induced,
                                build_regular_module, build_torus_projective,
                                build_Zproj, check_module_axioms,
@@ -197,15 +199,56 @@ def test_regular_module_sizes():
 def test_module_stack_is_the_stored_actions_read_only():
     chi = PChar.zero(SL2)
     Z = build_baby_verma(chi, enumerate_lambda(chi)[1])
+    stored = [Z.action(i) for i in range(len(Z.gens))]
     stack = Z.stack
     assert Z.stack is stack
     assert stack.lifted.dtype == np.float32
     assert stack.lifted.shape == (len(Z.gens), Z.dim, Z.dim)
-    for i, (A, B) in enumerate(zip(Z.actions, stack)):
+    for i, (A, B) in enumerate(zip(stored, stack)):
         assert np.array_equal(stack.lifted[i], A.T)
         assert np.array_equal(B, Z.action(i))
     with pytest.raises(ValueError):
         stack.lifted[0, 0, 0] = 1
+
+
+@pytest.mark.parametrize("p", [3, 2 ** 31 - 1])
+def test_reading_the_stack_drops_the_stored_copy(p):
+    alg = AlgebraDescriptor("sl", 2, p, 0)
+    rng = np.random.default_rng(5)
+    acts = [rng.integers(0, p, size=(4, 4)) for _ in range(3)]
+    M = ModuleRep(alg, PChar.zero(alg), (0, 1, 2), acts)
+    before = [M.action(i) for i in range(3)]
+    stack = M.stack
+    # int64 once no float dtype holds the products exactly
+    assert stack.lifted.dtype == (np.float32 if p == 3 else np.int64)
+    assert _held_arrays(M) == [stack]
+    for i, A in enumerate(acts):
+        assert M.action(i).dtype == np.int64
+        assert np.array_equal(M.action(i), before[i])
+        assert np.array_equal(M.action(i), A)
+
+
+def _held_arrays(M):
+    """The action data a module holds: arrays, stacks and lists of arrays."""
+    return [v for v in vars(M).values()
+            if isinstance(v, (np.ndarray, linalg.ActionStack))
+            or (isinstance(v, list) and v and isinstance(v[0], np.ndarray))]
+
+
+def test_module_made_from_a_stack_keeps_no_stored_copy():
+    chi = PChar.zero(SL2)
+    Z = build_baby_verma(chi, enumerate_lambda(chi)[1])
+    N = ModuleRep(Z.alg, Z.chi, Z.gens, Z.stack)
+    assert _held_arrays(N) == [Z.stack]
+    assert N.dim == Z.dim
+    cat = SimpleCatalog(seed=3)
+    chop(Z, seed=3, catalog=cat)
+    sub = find_invariant_subspace(Z.stack, 3, np.random.default_rng(3))
+    assert 0 < sub.dim < Z.dim
+    derived = [quotient_rep(Z, sub), submodule_rep(Z, sub)]
+    for M in [rep for _sid, rep, _inv in cat.entries] + derived:
+        assert len(_held_arrays(M)) == 1
+        assert _held_arrays(M)[0] is M.stack
 
 
 def test_axiom_checker_flags_corruption():
@@ -213,9 +256,9 @@ def test_axiom_checker_flags_corruption():
     lam = enumerate_lambda(chi)[0]
     Z = build_baby_verma(chi, lam)
     assert check_module_axioms(Z).ok
-    Z.actions[0] = Z.actions[0].copy()
-    Z.actions[0][0, 1] = (Z.actions[0][0, 1] + 1) % 3
-    rep = check_module_axioms(Z)
+    acts = [Z.action(i) for i in range(len(Z.gens))]
+    acts[0][0, 1] = (acts[0][0, 1] + 1) % 3
+    rep = check_module_axioms(ModuleRep(Z.alg, Z.chi, Z.gens, acts))
     assert not rep.ok
 
 
@@ -292,11 +335,12 @@ def test_sl2_baby_verma_closed_form(p):
 
 
 def _same_module(M, N):
+    # a built module holds its stored matrices until its stack is read
     return (M.gens == N.gens and M.weight_tags == N.weight_tags
             and M.grading_tags == N.grading_tags and M.tdeg_tags == N.tdeg_tags
             and M.basis_labels == N.basis_labels
             and all(a.dtype == b.dtype and np.array_equal(a, b)
-                    for a, b in zip(M.actions, N.actions)))
+                    for a, b in zip(M._actions, N._actions)))
 
 
 def test_normal_form_tables_are_shared_and_read_only(monkeypatch):
