@@ -398,6 +398,12 @@ class LieContext:
         return np.stack([self.coords(p_map(b)) for b in self.basis])
 
     @cached_property
+    def centre(self) -> np.ndarray:
+        """Basis of the centre of g_m, one coordinate row per element: the
+        x with [x, b_j] = 0 for every basis element b_j."""
+        return linalg.kernel(self.bracket_coords.reshape(self.dim, -1).T, self.alg.p)
+
+    @cached_property
     def gram_matrix(self) -> np.ndarray:
         D = self.dim
         g = np.zeros((D, D), dtype=np.int64)

@@ -15,7 +15,7 @@ from .errors import CurrentRepError, InvalidDescriptor, TooLarge
 from .meataxe import weight_character
 from .modrep import DEFAULT_LIMIT, ModuleRep, check_module_axioms
 from .pchar import PChar, pchar_from_element, support_degree, pchar_jordan
-from .suites import SUITES, SuiteConfig, run_suite
+from .suites import SUITES, SuiteConfig, effective_limit, run_suite
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,6 +64,8 @@ def cmd_verify(args) -> int:
                           suite=args.suite, seed=args.seed, samples=args.samples,
                           limit=args.limit)
         cfg.descriptor()
+        if cfg.samples < 1 or effective_limit(cfg) < 1:
+            raise InvalidDescriptor("the sample count and the size limit must be at least 1")
     except InvalidDescriptor as ex:
         print(f"usage error: {ex}", file=sys.stderr)
         return 2

@@ -122,13 +122,11 @@ def l_constants(alg: AlgebraDescriptor, seed: int = 0) -> LConstants:
     lams = enumerate_lambda(chi0)
     cat = SimpleCatalog(seed=seed)
     label_of = {}
-    for lam in lams:
-        Z = build_baby_verma(chi0, lam)
-        L = head(Z, seed=seed)
-        label_of[lam.degree_zero] = cat.register(L, f"L{lam.degree_zero}")
+    vermas = [build_baby_verma(chi0, lam) for lam in lams]
+    for lam, Z in zip(lams, vermas):
+        label_of[lam.degree_zero] = cat.register(head(Z, seed=seed), f"L{lam.degree_zero}")
     values = Counter()
-    for lam in lams:
-        Z = build_baby_verma(chi0, lam)
+    for Z in vermas:
         series = chop(Z, seed=seed, catalog=cat)
         for sid, mult in series.factors:
             values[sid] += mult

@@ -90,10 +90,10 @@ def _times(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def matpow(a, k: int, p: int) -> np.ndarray:
-    """Exact k-th power of a square matrix over F_p (binary powering)."""
+    """Exact k-th power over F_p (binary powering) of a square matrix, or of
+    each matrix in a stack of them."""
     a = asmod(a, p)
-    n = a.shape[0]
-    out = np.eye(n, dtype=np.int64)
+    out = np.broadcast_to(np.eye(a.shape[-1], dtype=np.int64), a.shape).copy()
     while k > 0:
         if k & 1:
             out = matmul(out, a, p)

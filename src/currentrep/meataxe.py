@@ -305,19 +305,6 @@ def graded_character(M: ModuleRep) -> CharacterTable:
 # isomorphism testing (standard basis method)
 
 
-def _central_scalars(M: ModuleRep):
-    """Scalars of the central basis elements, None entries when non-scalar."""
-    central = ~get_context(M.alg).bracket_coords.any(axis=(1, 2))
-    out = []
-    for slot, g in enumerate(M.gens):
-        if central[g]:
-            A = M.action(slot)
-            c = int(A[0, 0])
-            out.append((g, c if np.array_equal(A, c * np.eye(M.dim, dtype=np.int64) % M.alg.p)
-                        else None))
-    return tuple(out)
-
-
 def _standard_basis(stack: linalg.ActionStack, v, p, schedule=None):
     """Spin one vector in deterministic order; (basis rows, schedule).
 
@@ -401,7 +388,7 @@ def are_isomorphic(M: ModuleRep, N: ModuleRep, seed: int = 0):
         return False, None
     if M.dim == 0:
         return True, np.zeros((0, 0), dtype=np.int64)
-    if _central_scalars(M) != _central_scalars(N):
+    if M.central_scalars != N.central_scalars:
         return False, None
     p = M.alg.p
     if all(np.array_equal(M.action(i), N.action(i)) for i in range(len(M.gens))):
@@ -441,7 +428,7 @@ class SimpleCatalog:
 
     def match(self, rep: ModuleRep, label: str | None = None) -> str:
         # the invariants that are_isomorphic compares before its exact test
-        inv = (rep.dim, _central_scalars(rep))
+        inv = (rep.dim, rep.central_scalars)
         for sid, existing, existing_inv in self.entries:
             if existing_inv != inv or existing.chi != rep.chi:
                 continue

@@ -9,7 +9,9 @@ constants, the p-power expansions and the reduction u^p = u^{[p]} + χ(u)
 The complement must be a restricted subalgebra (closed under the bracket and
 the p-map; ``OutOfScope`` otherwise).  Then u_j u^a rewrites to a scalar
 combination of monomials, and b_g u^a for a base generator b_g to
-Σ u^{a'} ⊗ (c_0 + Σ_z c_z ρ_base(z)), linear in the base actions.  So every
+Σ u^{a'} ⊗ (c_0 + Σ_z c_z ρ_base(z)), linear in the base actions.  The base
+is itself a ``ModuleRep`` over the inducing subalgebra, with the same
+character, and ``check_module_axioms`` vets it before it is induced.  So every
 action is ρ(g) = Σ_z S_{g,z} ⊗ ρ_base(z), z over 1 and the base generators,
 and the integer tables S depend only on (algebra, complement, χ on the
 complement, base generators): χ enters only through u^p, and λ or the base
@@ -174,11 +176,12 @@ class ModuleRep:
     matrices, and a module made from a stack (a chop node, a restriction or
     a quotient) holds only that stack.  Optional per-basis-vector tags
     carry h*-weights, lattice gradings and the torus t-degree filtration
-    used by projective covers.
+    used by projective covers.  ``dim`` states the dimension of a module
+    over no generators, which has no action to read it from.
     """
 
     def __init__(self, alg, chi, gens, actions, weight_tags=None,
-                 grading_tags=None, tdeg_tags=None, basis_labels=None):
+                 grading_tags=None, tdeg_tags=None, basis_labels=None, dim=0):
         self.alg = alg
         self.chi = chi
         self.gens = tuple(gens)
@@ -187,7 +190,7 @@ class ModuleRep:
             self.dim = actions.d
         else:
             self._actions = [_stored(a, alg.p) for a in actions]
-            self.dim = self._actions[0].shape[0] if self._actions else 0
+            self.dim = self._actions[0].shape[0] if self._actions else dim
         self.weight_tags = weight_tags
         self.grading_tags = grading_tags
         self.tdeg_tags = tdeg_tags
@@ -208,12 +211,27 @@ class ModuleRep:
 
     def action_of_coords(self, coords) -> np.ndarray:
         """Matrix of an arbitrary element given by global basis coordinates."""
+        p = self.alg.p
         out = np.zeros((self.dim, self.dim), dtype=np.int64)
         for slot, g in enumerate(self.gens):
-            c = int(coords[g])
+            c = int(coords[g]) % p
             if c:
-                out += c * self.action(slot)
-        return out % self.alg.p
+                out = (out + c * self.action(slot)) % p  # each term below p^2
+        return out
+
+    @functools.cached_property
+    def central_scalars(self) -> tuple:
+        """(j, c) for each row j of ``LieContext.centre`` whose element lies
+        in the span of ``gens``: c is the scalar it acts by, or None if its
+        action is not a scalar.  Isomorphic modules have equal ones."""
+        gens = set(self.gens)
+        out = []
+        for j, z in enumerate(get_context(self.alg).centre):
+            if gens.issuperset(np.flatnonzero(z).tolist()):
+                A = self.action_of_coords(z)
+                c = int(A[0, 0])
+                out.append((j, c if np.array_equal(A, c * np.eye(self.dim, dtype=np.int64)) else None))
+        return tuple(out)
 
     def dual(self) -> "ModuleRep":
         acts = [(-self.action(i).T) % self.alg.p for i in range(len(self.gens))]
@@ -416,57 +434,13 @@ def exps_of_rank(rank: int, k: int, p: int) -> tuple:
     return tuple(out)
 
 
-@dataclass
-class BaseModule:
-    """Module over the inducing subalgebra, given by per-generator actions."""
-
-    gens: tuple                       # global basis indices
-    actions: dict                     # index -> (d, d) matrix
-    dim: int
-    weight_tags: list = None
-    grading_tags: list = None
-    tdeg_tags: list = None
-    labels: list = None
-
-
-def one_dim_base(gens, values: dict) -> BaseModule:
-    acts = {g: np.array([[values.get(g, 0)]], dtype=np.int64) for g in gens}
-    return BaseModule(tuple(gens), acts, 1)
-
-
-def _check_base_axioms(ctx, chi, base: BaseModule):
-    p = ctx.alg.p
-    cc = chi.coords(ctx)
-    for gi in base.gens:
-        for gj in base.gens:
-            if gj <= gi:
-                continue
-            br = ctx.bracket_coords[gi, gj]
-            lhs = (base.actions[gi] @ base.actions[gj] - base.actions[gj] @ base.actions[gi]) % p
-            rhs = np.zeros_like(lhs)
-            for z in np.nonzero(br)[0]:
-                if int(z) not in base.actions:
-                    raise BadCharacter("inducing part is not a subalgebra")
-                rhs = (rhs + int(br[z]) * base.actions[int(z)]) % p
-            if not np.array_equal(lhs, rhs):
-                raise BadCharacter("base module violates bracket compatibility")
-    for gi in base.gens:
-        pw = linalg.matpow(base.actions[gi], p, p)
-        pm = ctx.pmap_coords[gi]
-        rhs = np.zeros_like(pw)
-        for z in np.nonzero(pm)[0]:
-            rhs = (rhs + int(pm[z]) * base.actions[int(z)]) % p
-        rhs = (rhs + int(cc[gi]) * np.eye(base.dim, dtype=np.int64)) % p
-        if not np.array_equal(pw, rhs):
-            raise BadCharacter("base module violates the p-power rule")
-
-
-def build_induced(chi: PChar, comp_indices, base: BaseModule, limit: int = DEFAULT_LIMIT) -> ModuleRep:
+def build_induced(chi: PChar, comp_indices, base: ModuleRep, limit: int = DEFAULT_LIMIT) -> ModuleRep:
     """U_χ(g') ⊗_{U_χ(q)} base on the monomial basis over the complement.
 
     ``comp_indices`` (ordered as in the global basis) spans the complement
-    subalgebra; ``base.gens`` spans the inducing subalgebra q.  The result is
-    a module for the span of both.
+    subalgebra; ``base`` is a module with character χ for the inducing
+    subalgebra q spanned by ``base.gens``, and must satisfy the module
+    axioms.  The result is a module for the span of both.
     """
     alg = chi.alg
     ctx = get_context(alg)
@@ -477,11 +451,16 @@ def build_induced(chi: PChar, comp_indices, base: BaseModule, limit: int = DEFAU
     dim = nmono * base.dim
     if dim > limit:
         raise TooLarge(f"module dimension {dim} exceeds limit {limit}")
-    _check_base_axioms(ctx, chi, base)
+    if base.chi != chi:
+        raise BadCharacter("base module has another character")
+    axioms = check_module_axioms(base)
+    if not axioms.ok:
+        *where, why = (axioms.bracket_failures + axioms.power_failures)[0]
+        raise BadCharacter(f"base module: {why} at {', '.join(ctx.meta[g].label for g in where)}")
     cc = chi.coords(ctx)
-    tables = _normal_form_tables(alg, comp, tuple(int(cc[g]) for g in comp), tuple(base.gens))
+    tables = _normal_form_tables(alg, comp, tuple(int(cc[g]) for g in comp), base.gens)
     stack = np.stack([np.eye(base.dim, dtype=np.int64)]
-                     + [np.asarray(base.actions[g], dtype=np.int64) % p for g in base.gens])
+                     + [base.action(i) for i in range(len(base.gens))])
     gens = sorted(tables)
     actions = [_assemble(tables[g], stack, nmono, p) for g in gens]
     all_exps = list(itertools.product(range(p), repeat=k))
@@ -501,32 +480,25 @@ def build_induced(chi: PChar, comp_indices, base: BaseModule, limit: int = DEFAU
     if base.tdeg_tags is not None:
         tdeg_tags = list(base.tdeg_tags) * nmono
     labels = None
-    if base.labels is not None:
+    if base.basis_labels is not None:
         labels = []
         for a in all_exps:
             mono = " ".join(f"{ctx.meta[g].label}^{ai}" for g, ai in zip(comp, a) if ai) or "1"
-            for bl in base.labels:
+            for bl in base.basis_labels:
                 labels.append(f"{mono} ⊗ {bl}")
     return ModuleRep(alg, chi, gens, actions, weight_tags=weight_tags,
                      grading_tags=grading_tags, tdeg_tags=tdeg_tags,
                      basis_labels=labels)
 
 
-def _verma_base(chi: PChar, lam: LambdaWeight) -> BaseModule:
-    alg = chi.alg
-    ctx = get_context(alg)
-    if not lambda_equations_hold(lam, chi):
-        raise BadWeight("weight is not compatible with the character")
-    values = {}
-    for idx in ctx.torus_indices:
-        meta = ctx.meta[idx]
-        values[idx] = lam.value(meta.degree, meta.pos[0])
-    for idx in ctx.nplus_indices:
-        values[idx] = 0
-    base = one_dim_base(ctx.torus_indices + ctx.nplus_indices, values)
-    base.weight_tags = [lam.degree_zero]
-    base.labels = ["1_" + lam.label()]
-    return base
+def _weight_line(chi: PChar, lam: LambdaWeight, gens) -> ModuleRep:
+    """The one-dimensional module k_λ over ``gens``: toral generators act by
+    λ, the others by 0."""
+    ctx = get_context(chi.alg)
+    acts = [[[lam.value(ctx.meta[g].degree, ctx.meta[g].pos[0]) if ctx.meta[g].part == "h" else 0]]
+            for g in gens]
+    return ModuleRep(chi.alg, chi, gens, acts, weight_tags=[lam.degree_zero],
+                     basis_labels=["1_" + lam.label()])
 
 
 def build_baby_verma(chi: PChar, lam: LambdaWeight, limit: int = DEFAULT_LIMIT,
@@ -536,9 +508,10 @@ def build_baby_verma(chi: PChar, lam: LambdaWeight, limit: int = DEFAULT_LIMIT,
     With ``gamma`` a lattice weight lifting λ, the module carries the lattice
     grading with the highest vector in degree gamma.
     """
-    alg = chi.alg
-    ctx = get_context(alg)
-    base = _verma_base(chi, lam)
+    ctx = get_context(chi.alg)
+    if not lambda_equations_hold(lam, chi):
+        raise BadWeight("weight is not compatible with the character")
+    base = _weight_line(chi, lam, ctx.torus_indices + ctx.nplus_indices)
     if gamma is not None:
         gam = ctx.roots.canonical_weight(gamma)
         if ctx.roots.d_map(gam) != tuple(lam.degree_zero):
@@ -551,19 +524,9 @@ def build_dual_verma(lam: LambdaWeight, alg: AlgebraDescriptor, limit: int = DEF
     """Dual baby Verma at χ = 0: induce -λ from the opposite side and dualise."""
     ctx = get_context(alg)
     chi = PChar.zero(alg)
-    p = alg.p
-    neg = LambdaWeight(tuple(tuple((-v) % p for v in row) for row in lam.values))
-    values = {}
-    for idx in ctx.torus_indices:
-        meta = ctx.meta[idx]
-        values[idx] = neg.value(meta.degree, meta.pos[0])
-    for idx in ctx.nminus_indices:
-        values[idx] = 0
-    base = one_dim_base(ctx.torus_indices + ctx.nminus_indices, values)
-    base.weight_tags = [neg.degree_zero]
-    Mminus = build_induced(chi, ctx.nplus_indices, base, limit)
-    out = Mminus.dual()
-    return out
+    neg = LambdaWeight(tuple(tuple((-v) % alg.p for v in row) for row in lam.values))
+    base = _weight_line(chi, neg, ctx.torus_indices + ctx.nminus_indices)
+    return build_induced(chi, ctx.nplus_indices, base, limit).dual()
 
 
 def build_torus_projective(chi: PChar, lam: LambdaWeight) -> ModuleRep:
@@ -575,19 +538,11 @@ def build_torus_projective(chi: PChar, lam: LambdaWeight) -> ModuleRep:
     torus = ctx.torus_indices
     deg0 = [i for i in torus if ctx.meta[i].degree == 0]
     higher = [i for i in torus if ctx.meta[i].degree >= 1]
-    values = {idx: lam.value(0, ctx.meta[idx].pos[0]) for idx in deg0}
-    base = one_dim_base(deg0, values)
-    base.weight_tags = [lam.degree_zero]
-    base.labels = ["1_" + lam.label()]
-    M = build_induced(chi, higher, base, limit=10 ** 9)
+    M = build_induced(chi, higher, _weight_line(chi, lam, deg0), limit=10 ** 9)
     # t-degree of each monomial in the h t^i generators
     degs = [ctx.meta[g].degree for g in higher]
-    p = alg.p
-    tdeg = []
-    for t in range(p ** len(higher)):
-        a = exps_of_rank(t, len(higher), p)
-        tdeg.append(int(sum(ai * d for ai, d in zip(a, degs))))
-    M.tdeg_tags = tdeg
+    M.tdeg_tags = [sum(a * d for a, d in zip(exps_of_rank(t, len(higher), alg.p), degs))
+                   for t in range(alg.p ** len(higher))]
     return M
 
 
@@ -601,13 +556,12 @@ def build_Zproj(chi: PChar, lam: LambdaWeight, limit: int = DEFAULT_LIMIT) -> Mo
     if dim > limit:
         raise TooLarge(f"module dimension {dim} exceeds limit {limit}")
     Q = build_torus_projective(chi, lam)
-    slots = {g: i for i, g in enumerate(Q.gens)}
-    actions = {g: Q.action(slots[g]) for g in Q.gens}
+    # Q with n+ acting by zero
     zero = np.zeros((Q.dim, Q.dim), dtype=np.int64)
-    for idx in ctx.nplus_indices:
-        actions[idx] = zero
-    base = BaseModule(tuple(sorted(set(Q.gens) | set(ctx.nplus_indices))), actions, Q.dim,
-                      weight_tags=Q.weight_tags, tdeg_tags=Q.tdeg_tags, labels=Q.basis_labels)
+    gens = sorted(set(Q.gens) | set(ctx.nplus_indices))
+    acts = [Q.action(Q.gens.index(g)) if g in Q.gens else zero for g in gens]
+    base = ModuleRep(alg, chi, gens, acts, weight_tags=Q.weight_tags, tdeg_tags=Q.tdeg_tags,
+                     basis_labels=Q.basis_labels)
     return build_induced(chi, ctx.nminus_indices, base, limit)
 
 
@@ -698,8 +652,8 @@ def build_regular_module(chi: PChar, limit: int = DEFAULT_LIMIT) -> ModuleRep:
     ctx = get_context(alg)
     if alg.p ** ctx.dim > limit:
         raise TooLarge(f"regular module dimension p^{ctx.dim} exceeds limit {limit}")
-    base = one_dim_base((), {})
-    return build_induced(chi, list(range(ctx.dim)), base, limit)
+    trivial = ModuleRep(alg, chi, (), [], dim=1)
+    return build_induced(chi, list(range(ctx.dim)), trivial, limit)
 
 
 @dataclass
@@ -713,40 +667,46 @@ class AxiomReport:
 
 
 def check_module_axioms(M: ModuleRep) -> AxiomReport:
-    """Exact verification of bracket compatibility and the p-power rule."""
-    alg = M.alg
-    ctx = get_context(alg)
-    p = alg.p
+    """Exact verification of bracket compatibility and the p-power rule.
+
+    A bracket or p-th power that leaves the span of ``M.gens`` is a failure
+    of its rule.  The products are taken one generator against a stack of
+    the others, and the p-th powers of all generators at once.
+    """
+    ctx = get_context(M.alg)
+    p = M.alg.p
     cc = M.chi.coords(ctx)
     slots = {g: i for i, g in enumerate(M.gens)}
+    k = len(M.gens)
+    acts = np.array([M.action(i) for i in range(k)], dtype=np.int64).reshape(k, M.dim, M.dim)
+
+    def combination(coords, scalar):
+        """scalar + Σ_z coords[z] ρ(z), or None if some z is not in gens."""
+        out = scalar * np.eye(M.dim, dtype=np.int64) % p
+        for z in np.nonzero(coords)[0]:
+            if int(z) not in slots:
+                return None
+            out = (out + int(coords[z]) * acts[slots[int(z)]]) % p
+        return out
+
     bracket_failures = []
-    power_failures = []
-    acts = [M.action(i) for i in range(len(M.gens))]
-    for a_slot, gi in enumerate(M.gens):
-        for b_slot, gj in enumerate(M.gens):
-            if gj <= gi:
-                continue
-            lhs = (linalg.matmul(acts[a_slot], acts[b_slot], p)
-                   - linalg.matmul(acts[b_slot], acts[a_slot], p)) % p
-            br = ctx.bracket_coords[gi, gj]
-            rhs = np.zeros_like(lhs)
-            for z in np.nonzero(br)[0]:
-                z = int(z)
-                if z not in slots:
-                    bracket_failures.append((gi, gj, "bracket leaves the subalgebra"))
-                    rhs = None
-                    break
-                rhs = (rhs + int(br[z]) * acts[slots[z]]) % p
-            if rhs is not None and not np.array_equal(lhs, rhs):
+    for a, gi in enumerate(M.gens):
+        later = [b for b, gj in enumerate(M.gens) if gj > gi]
+        commutators = (linalg.matmul(acts[a], acts[later], p)
+                       - linalg.matmul(acts[later], acts[a], p)) % p
+        for b, lhs in zip(later, commutators):
+            gj = M.gens[b]
+            rhs = combination(ctx.bracket_coords[gi, gj], 0)
+            if rhs is None:
+                bracket_failures.append((gi, gj, "bracket leaves the subalgebra"))
+            elif not np.array_equal(lhs, rhs):
                 bracket_failures.append((gi, gj, "bracket compatibility fails"))
-    eye = np.eye(M.dim, dtype=np.int64)
-    for a_slot, gi in enumerate(M.gens):
-        pw = linalg.matpow(acts[a_slot], p, p)
-        pm = ctx.pmap_coords[gi]
-        rhs = (int(cc[gi]) * eye) % p  # χ(x)^p = χ(x) over F_p
-        for z in np.nonzero(pm)[0]:
-            z = int(z)
-            rhs = (rhs + int(pm[z]) * acts[slots[z]]) % p
-        if not np.array_equal(pw, rhs):
+    power_failures = []
+    powers = linalg.matpow(acts, p, p)
+    for a, gi in enumerate(M.gens):
+        rhs = combination(ctx.pmap_coords[gi], int(cc[gi]))  # χ(x)^p = χ(x) over F_p
+        if rhs is None:
+            power_failures.append((gi, "p-power leaves the subalgebra"))
+        elif not np.array_equal(powers[a], rhs):
             power_failures.append((gi, "p-power rule fails"))
     return AxiomReport(bracket_failures, power_failures)

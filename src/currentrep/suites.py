@@ -18,7 +18,7 @@ from .algebra import (AlgebraDescriptor, CurrentElement, bracket,
                       centralizer_dim, classify_element, get_context,
                       is_nilpotent, is_regular, jordan_decompose, kappa_m,
                       p_map, random_element)
-from .errors import InternalError, TooLarge
+from .errors import InternalError, InvalidDescriptor, TooLarge
 from .formulas import (_regular_degree0_toral, blocks, cartan_formula,
                        classify_simples_homogeneous, kostant_table, kw_scan,
                        l_constants, pm_shift_sum, semisimple_character_audit,
@@ -59,7 +59,12 @@ class SuiteConfig:
 
 def effective_limit(cfg: SuiteConfig) -> int:
     env = os.environ.get("CURRENTREP_LIMIT")
-    return int(env) if env else cfg.limit
+    if not env:
+        return cfg.limit
+    try:
+        return int(env)
+    except ValueError:
+        raise InvalidDescriptor(f"CURRENTREP_LIMIT={env!r} is not an integer")
 
 
 def _regular_nilpotent(alg: AlgebraDescriptor) -> CurrentElement:

@@ -115,6 +115,22 @@ def test_gram_full_rank():
         assert linalg.rank(ctx.gram_matrix, alg.p) == ctx.dim
 
 
+def test_centre_is_the_scalar_matrices_in_each_degree():
+    for kind, n, m in (("gl", 2, 1), ("gl", 3, 1), ("gl", 2, 2), ("sl", 2, 1)):
+        alg = AlgebraDescriptor(kind, n, 3, m)
+        ctx = get_context(alg)
+        rows = ctx.centre
+        assert len(rows) == (m + 1 if kind == "gl" else 0)
+        degrees = set()
+        for row in rows:
+            z = ctx.from_coords(row)
+            (d,) = z.support_degrees()
+            c = int(z.coeffs[d, 0, 0])
+            assert c and np.array_equal(z.coeffs[d], c * np.eye(n, dtype=np.int64))
+            degrees.add(d)
+        assert len(degrees) == len(rows)
+
+
 def test_coords_roundtrip():
     ctx = get_context(SL2)
     rng = np.random.default_rng(3)

@@ -110,3 +110,16 @@ def test_limit_env_override(tmp_path, monkeypatch, capsys):
     # the oversized constructions are skipped, not failed
     out = capsys.readouterr()
     assert code in (0, 1)
+
+
+def test_verify_rejects_nonpositive_samples_and_limits(capsys):
+    args = ["verify", "index", "--kind", "sl", "-n", "2", "-p", "3", "-m", "1"]
+    assert run(args + ["--samples", "0"]) == 2
+    assert run(args + ["--limit", "-5"]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_verify_rejects_a_malformed_limit_in_the_environment(monkeypatch, capsys):
+    monkeypatch.setenv("CURRENTREP_LIMIT", "abc")
+    assert run(["verify", "cartan", "--kind", "sl", "-n", "2", "-p", "3", "-m", "1"]) == 2
+    assert "CURRENTREP_LIMIT" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from currentrep import modrep
+from currentrep import formulas, modrep
 from currentrep.algebra import AlgebraDescriptor, CurrentElement
 from currentrep.errors import FormulaDomainError, OutOfScope
 from currentrep.formulas import (blocks, cartan_formula, cartan_matrix_formula,
@@ -64,6 +64,19 @@ def test_l_constants_sl2_p5():
     lc = l_constants(AlgebraDescriptor("sl", 2, 5, 1), seed=3)
     assert sorted(l for _w, l in lc.values.items()) == [1, 2, 2, 2, 2]
     assert lc.mass() == 25
+
+
+def test_l_constants_build_each_verma_once(monkeypatch):
+    built = []
+
+    def counting(chi, lam, *args, **kwargs):
+        built.append(lam.degree_zero)
+        return modrep.build_baby_verma(chi, lam, *args, **kwargs)
+
+    monkeypatch.setattr(formulas, "build_baby_verma", counting)
+    lc = l_constants(AlgebraDescriptor("sl", 2, 5, 1), seed=3)
+    assert sorted(built) == sorted(lc.values) and len(built) == 5
+    assert sorted(l for _w, l in lc.values.items()) == [1, 2, 2, 2, 2]
 
 
 def test_verma_mult_formula(lc_sl2):

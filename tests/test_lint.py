@@ -6,9 +6,10 @@ would turn a bug into an ordinary-looking outcome; an import inside a
 function hides a module's dependencies from its header, and an import
 that nothing reads lists one that the module does not have; renaming a
 function that the benchmark wraps by name would only show when the
-benchmark runs; and code outside ``linalg`` that reads its private helpers
+benchmark runs; code outside ``linalg`` that reads its private helpers
 or the lifted action stack depends on how F_p values are held in flight,
-which only ``linalg`` may know.
+which only ``linalg`` may know; and a function or class that no library
+code reads is API that only tests keep alive.
 """
 
 import ast
@@ -91,6 +92,34 @@ def test_linalg_format_stays_in_linalg():
             elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
                 found += [f"{where} import {a.name}" for a in node.names
                           if a.name.startswith("_")]
+    assert found == []
+
+
+# paper constructions that only their own tests call (ROADMAP "Not now")
+TEST_ONLY_API = {"centralizer_basis", "cartan_matrix_formula", "eval_invariant",
+                 "invariant_subspace", "head_general", "twist_module"}
+
+
+def test_no_library_api_that_nothing_calls():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.rglob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for top in tree.body:
+            own = getattr(top, "name", None)  # a definition reading itself does not count
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    read.add(name)
+    found = [f"{path.relative_to(SRC)}:{node.lineno} {node.name}"
+             for path, tree in trees.items() for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and node.name not in read | TEST_ONLY_API]
     assert found == []
 
 

@@ -128,6 +128,27 @@ def test_are_isomorphic_examples():
         assert np.array_equal(lhs, rhs)
 
 
+def test_central_scalars_read_the_identity_and_its_t_multiples():
+    alg = AlgebraDescriptor("gl", 2, 3, 1)
+    chi = PChar.zero(alg)
+    Z = build_baby_verma(chi, LambdaWeight.from_degree_zero((1, 1), alg))
+    # I acts by λ(E_11) + λ(E_22) = 2, I t by 0
+    assert Z.central_scalars == ((0, 2), (1, 0))
+
+
+def test_are_isomorphic_rejects_different_central_characters(monkeypatch):
+    alg = AlgebraDescriptor("gl", 2, 3, 1)
+    chi = PChar.zero(alg)
+    Z0, Z1 = (build_baby_verma(chi, LambdaWeight.from_degree_zero(w, alg))
+              for w in ((0, 0), (0, 1)))
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("standard basis computed for modules the centre tells apart")
+
+    monkeypatch.setattr(meataxe, "_standard_basis", refuse)
+    assert are_isomorphic(Z0, Z1, seed=1) == (False, None)
+
+
 def test_are_isomorphic_dimension_prefilter(restricted_simples):
     cat, labels = restricted_simples
     L0 = cat.get(labels[0])

@@ -14,7 +14,7 @@ from currentrep.modrep import (LambdaWeight, ModuleRep, build_baby_verma,
                                build_dual_verma, build_induced,
                                build_regular_module, build_torus_projective,
                                build_Zproj, check_module_axioms,
-                               enumerate_lambda, inflate, one_dim_base,
+                               enumerate_lambda, inflate,
                                solve_twist_weight, twist_module)
 from currentrep.pchar import PChar, pchar_from_element
 from currentrep.suites import SuiteConfig, run_suite
@@ -262,6 +262,46 @@ def test_axiom_checker_flags_corruption():
     assert not rep.ok
 
 
+def test_action_of_coords_is_exact_past_int64_sums():
+    # three terms (p - 1)^2 overflow an int64 sum at p = 2^31 - 1
+    alg = AlgebraDescriptor("sl", 2, 2 ** 31 - 1, 0)
+    p = alg.p
+    M = ModuleRep(alg, PChar.zero(alg), range(3), [[[p - 1]]] * 3)
+    assert M.action_of_coords([p - 1] * 3).tolist() == [[3]]
+
+
+def test_axiom_checker_records_a_p_power_outside_the_span():
+    # (h t)^[p] = h t^3, which is not in the span of the one generator h t
+    alg = AlgebraDescriptor("sl", 2, 3, 3)
+    ctx = get_context(alg)
+    ht = next(g for g in ctx.torus_indices if ctx.meta[g].degree == 1)
+    rep = check_module_axioms(ModuleRep(alg, PChar.zero(alg), [ht], [[[0]]]))
+    assert rep.bracket_failures == []
+    assert rep.power_failures == [(ht, "p-power leaves the subalgebra")]
+
+
+def test_induction_rejects_a_base_that_is_not_a_module():
+    alg = AlgebraDescriptor("sl", 2, 3, 0)
+    ctx = get_context(alg)
+    chi = PChar.zero(alg)
+    (e,), (f,), (h,) = ctx.nplus_indices, ctx.nminus_indices, ctx.torus_indices
+    # [h, e] = 2e, but 1 x 1 actions commute
+    with pytest.raises(BadCharacter, match="bracket compatibility fails"):
+        build_induced(chi, [f], ModuleRep(alg, chi, [h, e], [[[1]], [[1]]]))
+    # h acts nilpotently, so h^p = 0 differs from h^[p] = h
+    with pytest.raises(BadCharacter, match="p-power rule fails"):
+        build_induced(chi, [f], ModuleRep(alg, chi, [h], [[[0, 1], [0, 0]]]))
+    alg3 = AlgebraDescriptor("sl", 2, 3, 3)
+    ctx3 = get_context(alg3)
+    chi3 = PChar.zero(alg3)
+    ht = next(g for g in ctx3.torus_indices if ctx3.meta[g].degree == 1)
+    with pytest.raises(BadCharacter, match="p-power leaves the subalgebra"):
+        build_induced(chi3, [], ModuleRep(alg3, chi3, [ht], [[[0]]]))
+    other = pchar_from_element(CurrentElement.from_matrix(alg, [[0, 0], [1, 0]]))
+    with pytest.raises(BadCharacter, match="another character"):
+        build_induced(chi, [f], ModuleRep(alg, other, [h], [[[0]]]))
+
+
 def test_module_serialization_roundtrip():
     for alg, idx in ((SL2, 1), (AlgebraDescriptor("sl", 2, 11, 0), 5)):
         chi = PChar.zero(alg)
@@ -384,7 +424,8 @@ def test_induction_needs_a_restricted_complement():
     ctx = get_context(alg)
     (e,), (f,), (h,) = ctx.nplus_indices, ctx.nminus_indices, ctx.torus_indices
     with pytest.raises(OutOfScope):
-        build_induced(PChar.zero(alg), [e, f], one_dim_base([h], {h: 0}))
+        chi = PChar.zero(alg)
+        build_induced(chi, [e, f], ModuleRep(alg, chi, [h], [[[0]]]))
 
 
 def test_zproj_checks_the_limit_before_building(monkeypatch):
