@@ -7,6 +7,15 @@ g_m (t-degree ascending; inside a degree: negative root vectors by root
 height descending, then the toral basis, then positive root vectors by height
 ascending), and caches structure constants, p-power expansions and the
 invariant form needed everywhere else.
+
+Each quantity has one formula, on coefficient arrays of shape
+(..., m+1, n, n) with any leading batch axes: ``bracket_coeffs``,
+``p_map_coeffs``, ``is_nilpotent_coeffs``, ``kappa_coeffs`` and
+``centralizer_dim_coeffs``.  The element functions (``bracket``, ``p_map``,
+``is_nilpotent``, ``kappa_m``, ``centralizer_dim``) call them on one
+element, and a sampled check calls them once on the stack of all its
+samples.  ``LieContext.coords``, ``from_coords`` and ``ad_matrix`` take
+stacks as well.
 """
 
 from __future__ import annotations
@@ -184,9 +193,15 @@ class CurrentElement:
         return f"CurrentElement({self.alg.label()}, support={self.support_degrees()})"
 
 
+def bracket_coeffs(a: np.ndarray, b: np.ndarray, alg: AlgebraDescriptor) -> np.ndarray:
+    """Lie bracket ab - ba over R_m of coefficient arrays (..., m+1, n, n)."""
+    return (_stack_mult(a, b, alg.p, alg.m) - _stack_mult(b, a, alg.p, alg.m)) % alg.p
+
+
 def bracket(x: CurrentElement, y: CurrentElement) -> CurrentElement:
     """Lie bracket [x, y] = xy - yx over R_m (traceless, so valid for sl)."""
-    return CurrentElement._trusted(x.alg, (x.mat_mult(y) - y.mat_mult(x)) % x.alg.p)
+    x._check(y)
+    return CurrentElement._trusted(x.alg, bracket_coeffs(x.coeffs, y.coeffs, x.alg))
 
 
 @lru_cache(maxsize=None)
@@ -200,13 +215,22 @@ def _degree_pairs(m: int) -> np.ndarray:
 
 
 def _stack_mult(a: np.ndarray, b: np.ndarray, p: int, m: int) -> np.ndarray:
-    """Product of coefficient stacks over R_m = F_p[t]/(t^{m+1}).
+    """Product of coefficient stacks over R_m = F_p[t]/(t^{m+1}), with any
+    leading batch axes (broadcast against each other).
 
     Each degree pair a_i b_j is reduced mod p before the pairs of one degree
     are summed, so int64 holds every entry while n (p-1)^2 does.
     """
-    prod = np.matmul(a[:, None], b[None, :]) % p
-    return np.einsum("kij,ijac->kac", _degree_pairs(m), prod) % p
+    prod = np.matmul(a[..., :, None, :, :], b[..., None, :, :, :]) % p
+    return np.einsum("kij,...ijac->...kac", _degree_pairs(m), prod) % p
+
+
+def p_map_coeffs(a: np.ndarray, alg: AlgebraDescriptor) -> np.ndarray:
+    """The p-th power over R_m of coefficient arrays (..., m+1, n, n)."""
+    out = a
+    for _ in range(alg.p - 1):
+        out = _stack_mult(out, a, alg.p, alg.m)
+    return out
 
 
 def p_map(x: CurrentElement) -> CurrentElement:
@@ -216,11 +240,16 @@ def p_map(x: CurrentElement) -> CurrentElement:
     in the test suite rather than assumed.  In characteristic p the trace of
     x^p is (tr x)^p, so the power of an sl element stays in sl.
     """
-    alg = x.alg
-    out = x.coeffs
-    for _ in range(alg.p - 1):
-        out = _stack_mult(out, x.coeffs, alg.p, alg.m)
-    return CurrentElement._trusted(alg, out)
+    return CurrentElement._trusted(x.alg, p_map_coeffs(x.coeffs, x.alg))
+
+
+def kappa_coeffs(a: np.ndarray, b: np.ndarray, alg: AlgebraDescriptor) -> np.ndarray:
+    """t^m-coefficient of Tr(ab) over R_m for coefficient arrays
+    (..., m+1, n, n), one value per leading index.  Each product a_i b_{m-i}
+    is reduced before its trace is taken, so int64 holds every sum while
+    n (p-1)^2 does."""
+    prod = np.matmul(a, b[..., ::-1, :, :]) % alg.p
+    return np.trace(prod, axis1=-2, axis2=-1).sum(axis=-1) % alg.p
 
 
 def kappa_m(x: CurrentElement, y: CurrentElement) -> int:
@@ -229,11 +258,7 @@ def kappa_m(x: CurrentElement, y: CurrentElement) -> int:
     alg = x.alg
     if alg.kind == "sl" and alg.n % alg.p == 0:
         raise InvalidDescriptor("form degenerate for sl_n with p | n")
-    total = 0
-    for i in range(alg.m + 1):
-        j = alg.m - i
-        total += int(np.einsum("ij,ji->", x.coeffs[i], y.coeffs[j]))
-    return total % alg.p
+    return int(kappa_coeffs(x.coeffs, y.coeffs, alg))
 
 
 # ---------------------------------------------------------------------------
@@ -327,75 +352,72 @@ class LieContext:
         self.alg = alg
         self.roots = RootDatum(alg)
         self.meta: list[BasisMeta] = []
+        n, shape = alg.n, (alg.m + 1, alg.n, alg.n)
         mats = []
+        # column k of the selection matrix picks the coefficients whose sum
+        # is coordinate k: one entry, or for the sl toral h_l the diagonal
+        # entries 0..l (since h_l = E_ll - E_{l+1,l+1})
+        select = []
         idx = 0
         for d in range(alg.m + 1):
             for part, pos in self.roots.degree_zero_order():
+                sel = np.zeros(shape, dtype=np.int64)
                 if part == "h":
                     mat = self.roots.toral_matrix(pos[0])
                     height = 0
                     label = f"h{pos[0] + 1}" + (f"*t^{d}" if d else "")
+                    diag = [pos[0]] if alg.kind == "gl" else range(pos[0] + 1)
+                    sel[d, diag, diag] = 1
                 else:
                     i, j = pos if part == "e" else (pos[1], pos[0])
-                    mat = np.zeros((alg.n, alg.n), dtype=np.int64)
+                    mat = np.zeros((n, n), dtype=np.int64)
                     mat[i, j] = 1
+                    sel[d, i, j] = 1
                     height = self.roots.height(pos)
                     label = f"{part}[{pos[0] + 1}{pos[1] + 1}]" + (f"*t^{d}" if d else "")
                 self.meta.append(BasisMeta(idx, part, d, pos, height, label))
-                mats.append(CurrentElement.from_matrix(alg, mat, d))
+                coeffs = np.zeros(shape, dtype=np.int64)
+                coeffs[d] = mat % alg.p
+                mats.append(coeffs)
+                select.append(sel.ravel())
                 idx += 1
-        self.basis = mats
+        self.basis_coeffs = np.stack(mats)
+        self.basis_coeffs.flags.writeable = False
+        self.basis = [CurrentElement._trusted(alg, c) for c in self.basis_coeffs]
         self.dim = len(mats)
+        self._select = np.stack(select, axis=1)
 
     # -- coordinates ------------------------------------------------------
 
-    def coords(self, x: CurrentElement) -> np.ndarray:
-        if x.alg != self.alg:
-            raise AlgebraMismatch("descriptor mismatch")
-        p, n = self.alg.p, self.alg.n
-        out = np.zeros(self.dim, dtype=np.int64)
-        per_deg = self.alg.dim_g
-        for d in range(self.alg.m + 1):
-            A = x.coeffs[d]
-            base = d * per_deg
-            for k, meta in enumerate(self.meta[base:base + per_deg]):
-                if meta.part == "h":
-                    l = meta.pos[0]
-                    if self.alg.kind == "gl":
-                        out[base + k] = A[l, l]
-                    else:
-                        out[base + k] = sum(int(A[t, t]) for t in range(l + 1)) % p
-                else:
-                    i, j = meta.pos if meta.part == "e" else (meta.pos[1], meta.pos[0])
-                    out[base + k] = A[i, j]
-        return out
+    def coords(self, x) -> np.ndarray:
+        """Coordinates of an element, or of a coefficient array
+        (..., m+1, n, n) with entries in [0, p): shape (..., dim)."""
+        if isinstance(x, CurrentElement):
+            if x.alg != self.alg:
+                raise AlgebraMismatch("descriptor mismatch")
+            x = x.coeffs
+        flat = x.reshape(*x.shape[:-3], self._select.shape[0])
+        return flat @ self._select % self.alg.p
 
-    def from_coords(self, v) -> CurrentElement:
+    def from_coords(self, v):
+        """The element with coordinates v; for a stack of coordinate rows
+        (..., dim), their coefficient arrays (..., m+1, n, n)."""
         v = np.asarray(v, dtype=np.int64) % self.alg.p
-        coeffs = np.zeros((self.alg.m + 1, self.alg.n, self.alg.n), dtype=np.int64)
-        for k, c in enumerate(v):
-            if c:
-                coeffs += c * self.basis[k].coeffs
-        return CurrentElement._trusted(self.alg, coeffs % self.alg.p)
+        coeffs = np.tensordot(v, self.basis_coeffs, axes=1) % self.alg.p
+        return CurrentElement._trusted(self.alg, coeffs) if v.ndim == 1 else coeffs
 
     # -- cached structure data ---------------------------------------------
 
     @cached_property
     def bracket_coords(self) -> np.ndarray:
         """Dense table c[i, j, :] = coordinates of [b_i, b_j]."""
-        D = self.dim
-        table = np.zeros((D, D, D), dtype=np.int64)
-        for i in range(D):
-            for j in range(i + 1, D):
-                c = self.coords(bracket(self.basis[i], self.basis[j]))
-                table[i, j] = c
-                table[j, i] = (-c) % self.alg.p
-        return table
+        B = self.basis_coeffs
+        return self.coords(bracket_coeffs(B[:, None], B[None, :], self.alg))
 
     @cached_property
     def pmap_coords(self) -> np.ndarray:
         """Row i = coordinates of b_i^{[p]}."""
-        return np.stack([self.coords(p_map(b)) for b in self.basis])
+        return self.coords(p_map_coeffs(self.basis_coeffs, self.alg))
 
     @cached_property
     def centre(self) -> np.ndarray:
@@ -405,18 +427,17 @@ class LieContext:
 
     @cached_property
     def gram_matrix(self) -> np.ndarray:
-        D = self.dim
-        g = np.zeros((D, D), dtype=np.int64)
-        for i in range(D):
-            for j in range(D):
-                g[i, j] = kappa_m(self.basis[i], self.basis[j])
-        return g
+        B = self.basis_coeffs
+        return kappa_coeffs(B[:, None], B[None, :], self.alg)
 
-    def ad_matrix(self, x: CurrentElement) -> np.ndarray:
-        """Matrix of ad(x) in the basis coordinates (columns = images)."""
+    def ad_matrix(self, x) -> np.ndarray:
+        """Matrix of ad(x) in the basis coordinates (columns = images), for
+        an element or for each of a coefficient array (..., m+1, n, n)."""
         xc = self.coords(x)
+        D = self.dim
         # ad(x) column j = sum_i xc[i] * bracket_coords[i, j]
-        return linalg.asmod(np.tensordot(xc, self.bracket_coords, axes=(0, 0)).T, self.alg.p)
+        cols = linalg.matmul(xc.reshape(-1, D), self.bracket_coords.reshape(D, D * D), self.alg.p)
+        return cols.reshape(*xc.shape[:-1], D, D).swapaxes(-1, -2)
 
     def weight_of(self, k: int) -> tuple:
         """h*-weight of basis element k under ad(h): tuple over the toral basis."""
@@ -568,13 +589,20 @@ def nilpotency_bound(alg: AlgebraDescriptor) -> int:
     return max(1, math.ceil(math.log(size, alg.p))) + 1
 
 
+def is_nilpotent_coeffs(a: np.ndarray, alg: AlgebraDescriptor) -> np.ndarray:
+    """Whether each coefficient array of (..., m+1, n, n) is nilpotent: some
+    p-power iterate within ``nilpotency_bound`` is zero (and zero stays zero)."""
+    zero = np.zeros(a.shape[:-3], dtype=bool)
+    for _ in range(nilpotency_bound(alg)):
+        a = p_map_coeffs(a, alg)
+        zero = ~a.any(axis=(-3, -2, -1))
+        if zero.all():
+            break
+    return zero
+
+
 def is_nilpotent(x: CurrentElement) -> bool:
-    y = x
-    for _ in range(nilpotency_bound(x.alg)):
-        y = p_map(y)
-        if y.is_zero():
-            return True
-    return False
+    return bool(is_nilpotent_coeffs(x.coeffs, x.alg))
 
 
 def _p_power_iterates(x: CurrentElement, cap: int = 256):
@@ -589,7 +617,7 @@ def _p_power_iterates(x: CurrentElement, cap: int = 256):
         seen[key] = True
         out.append(y)
         y = p_map(y)
-    raise RuntimeError("p-power iteration failed to cycle; cap too small")
+    raise InternalError(f"p-power iterates did not repeat within {cap} steps")
 
 
 def classify_element(x: CurrentElement) -> str:
@@ -696,9 +724,14 @@ def centralizer_basis(x: CurrentElement):
     return [ctx.from_coords(row) for row in ker]
 
 
+def centralizer_dim_coeffs(a: np.ndarray, alg: AlgebraDescriptor):
+    """dim g_m^x for each coefficient array x of (..., m+1, n, n)."""
+    ctx = get_context(alg)
+    return ctx.dim - linalg.rank(ctx.ad_matrix(a), alg.p)
+
+
 def centralizer_dim(x: CurrentElement) -> int:
-    ctx = get_context(x.alg)
-    return ctx.dim - linalg.rank(ctx.ad_matrix(x), x.alg.p)
+    return centralizer_dim_coeffs(x.coeffs, x.alg)
 
 
 def is_regular(x: CurrentElement) -> bool:

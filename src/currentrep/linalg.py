@@ -5,7 +5,9 @@ products are computed through BLAS in floating point and reduced mod p
 afterwards; this is exact as long as ``inner_dim * (p-1)**2`` stays below the
 mantissa capacity, which is checked on every call, and past float64 the
 product is taken over Python integers.  Row reduction is a vectorised
-Gauss-Jordan elimination.
+Gauss-Jordan elimination.  ``rank`` of a stack of matrices, shape
+(..., r, c), runs one Gauss elimination over the whole stack; a matrix
+keeps the ``rref`` path.
 
 Reduce once.  This module is the only one that knows how F_p values are
 held in flight: everything it hands out is an int64 array with entries in
@@ -14,10 +16,10 @@ held in flight: everything it hands out is an int64 array with entries in
 ``Echelon`` and ``ActionStack`` reduce their arguments on entry with
 ``asmod``, which for a reduced array of 2048 or more entries is a range
 check and a copy.  The private helpers (``_lift``, ``_times``, ``_rref``,
-``_rref_naive``, ``_rref_blocked``, ``Echelon._cancel``) trust their input
-to lie in [0, p) and never reduce it again; ``_times`` returns exact
-products unreduced in the float dtype of ``_lift``, and the caller in this
-module reduces each such product once, before it leaves.  A
+``_rref_naive``, ``_rref_blocked``, ``_rank_stack``, ``Echelon._cancel``)
+trust their input to lie in [0, p) and never reduce it again; ``_times``
+returns exact products unreduced in the float dtype of ``_lift``, and the
+caller in this module reduces each such product once, before it leaves.  A
 ``modrep.ModuleRep`` holds its actions in one of two forms: the matrices it
 was built from, reduced once where it stores them, or, from the first
 product on, an :class:`ActionStack`, the read-only [A_1^T | ... | A_k^T]
@@ -28,6 +30,8 @@ reduced.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -207,8 +211,58 @@ def _rref(R: np.ndarray, p: int):
     return _rref_blocked(R, p)
 
 
-def rank(a, p: int) -> int:
-    return len(rref(a, p)[1])
+def rank(a, p: int):
+    """Rank of a matrix; for a stack of matrices, shape (..., r, c), the
+    int64 array of their ranks, of the leading shape."""
+    a = np.asarray(a)
+    if a.ndim <= 2:
+        return len(rref(a, p)[1])
+    lead = a.shape[:-2]
+    return _rank_stack(asmod(a, p).reshape(math.prod(lead), *a.shape[-2:]), p).reshape(lead)
+
+
+def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise inverse of nonzero residues (x^(p-2) by binary powering)."""
+    out = np.ones_like(x)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
+    return out
+
+
+def _rank_stack(R: np.ndarray, p: int) -> np.ndarray:
+    """Ranks of the matrices of the int64 stack R, shape (B, r, c), whose
+    entries must lie in [0, p), by one Gauss elimination over the batch,
+    computed in place.
+
+    Column by column, each matrix takes as pivot its first unused row that
+    is nonzero there and clears that column from its other unused rows; a
+    matrix with no such row takes a zero update.  No rows move.  As in
+    :func:`_rref_naive`, only the pivot column and the pivot rows are
+    reduced at each step, unless the lazy updates could leave int64.
+    """
+    B, rows, cols = R.shape
+    lazy = (min(rows, cols) + 1) * (p - 1) ** 2 < 2 ** 63
+    batch = np.arange(B)
+    used = np.zeros((B, rows), dtype=bool)
+    for c in range(cols):
+        col = R[:, :, c] % p
+        col[used] = 0
+        has = col.any(axis=1)
+        if not has.any():
+            continue
+        i = (col != 0).argmax(axis=1)
+        pivot = np.where(has, col[batch, i], 1)
+        prow = R[batch, i, c:] % p * _inverse_mod(pivot, p)[:, None] % p
+        used[batch[has], i[has]] = True
+        col[batch, i] = 0
+        R[:, :, c:] -= col[:, :, None] * prow[:, None, :]
+        if not lazy:
+            R[:, :, c:] %= p
+    return used.sum(axis=1)
 
 
 def kernel(a, p: int) -> np.ndarray:
@@ -377,11 +431,14 @@ class ActionStack:
     blocks of [A_1^T | ... | A_k^T], in the dtype of :func:`_lift` for inner
     dimensions up to max(d, k): int64 once no float dtype is exact.  The
     products with the actions are methods, each one product against the
-    stack, reduced once.  The actions must have entries in [0, p).
+    stack, reduced once.  The actions must have entries in [0, p).  They
+    come as a sequence of d × d matrices or as a (k, d, d) array, which
+    states d also when there are no actions.
     """
 
     def __init__(self, actions, p: int):
-        k, d = len(actions), np.shape(actions[0])[0]
+        k = len(actions)
+        d = actions.shape[-1] if isinstance(actions, np.ndarray) else np.shape(actions[0])[0]
         lifted = np.empty((k, d, d), dtype=_float_dtype(max(d, k), p) or np.int64)
         for At, A in zip(lifted, actions):
             At[...] = np.asarray(A).T
@@ -432,4 +489,4 @@ class ActionStack:
 
     def transposed(self) -> "ActionStack":
         """The stack of A_1^T, ..., A_k^T."""
-        return ActionStack(list(self.lifted), self.p)
+        return ActionStack(self.lifted, self.p)

@@ -59,7 +59,8 @@ def restrict_actions(stack: linalg.ActionStack, ech: linalg.Echelon,
     """Actions on a spanned invariant subspace, in its row basis."""
     # row r of the coordinates of the images under A is column r of the
     # restricted action
-    return linalg.ActionStack([ech.coords(img).T for img in stack.images(ech.rows)], p)
+    acts = [ech.coords(img).T for img in stack.images(ech.rows)]
+    return linalg.ActionStack(acts or np.zeros((0, ech.dim, ech.dim), dtype=np.int64), p)
 
 
 def quotient_actions(stack: linalg.ActionStack, ech: linalg.Echelon, p: int):
@@ -70,7 +71,8 @@ def quotient_actions(stack: linalg.ActionStack, ech: linalg.Echelon, p: int):
     npiv = np.flatnonzero(free).tolist()
     # column j of A is A e_j: the images of the representative vectors,
     # reduced modulo the span, as rows
-    return linalg.ActionStack([ech.residual(c)[:, npiv].T for c in stack.columns(npiv)],
+    acts = [ech.residual(c)[:, npiv].T for c in stack.columns(npiv)]
+    return linalg.ActionStack(acts or np.zeros((0, len(npiv), len(npiv)), dtype=np.int64),
                               p), npiv
 
 

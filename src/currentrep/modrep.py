@@ -206,7 +206,9 @@ class ModuleRep:
         """The actions lifted once into a read-only stack, which from then
         on is the only copy the module holds."""
         if not isinstance(self._actions, linalg.ActionStack):
-            self._actions = linalg.ActionStack(self._actions, self.alg.p)
+            # a module over no generators states its dimension by an empty stack
+            actions = self._actions or np.zeros((0, self.dim, self.dim), dtype=np.int64)
+            self._actions = linalg.ActionStack(actions, self.alg.p)
         return self._actions
 
     def action_of_coords(self, coords) -> np.ndarray:

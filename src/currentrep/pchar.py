@@ -2,8 +2,10 @@
 
 A functional χ is always stored via the element c with χ = κ_m(c, ·); the
 Jordan theory, centralisers and support filtrations of χ are then read off
-from c.  Also holds the Jordan-normal-form machinery placing degree-zero
-nilpotents of gl_n in standard Levi position.
+from c.  Its values on the basis are coords(c) times the Gram matrix, and
+``stabilizer_dim_coeffs`` takes the stabiliser dimensions of a whole stack
+of duals at once.  Also holds the Jordan-normal-form machinery placing
+degree-zero nilpotents of gl_n in standard Levi position.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .algebra import (AlgebraDescriptor, CurrentElement, classify_element,
-                      centralizer_dim, get_context, jordan_decompose, kappa_m)
+from .algebra import (AlgebraDescriptor, CurrentElement, centralizer_dim_coeffs,
+                      classify_element, get_context, jordan_decompose, kappa_m)
 from .errors import (InternalError, InvalidDescriptor, NotNilpotent,
                      UnsupportedTruncation)
 
@@ -53,7 +55,8 @@ class PChar:
         ctx = ctx or get_context(self.alg)
         key = ("coords", id(ctx))
         if key not in self._flags:
-            self._flags[key] = np.array([self(b) for b in ctx.basis], dtype=np.int64)
+            # χ(b_j) = κ_m(c, b_j) = Σ_i c_i κ_m(b_i, b_j)
+            self._flags[key] = linalg.matmul(ctx.coords(self.dual), ctx.gram_matrix, self.alg.p)
         return self._flags[key]
 
     def vanishes_on(self, indices, ctx=None) -> bool:
@@ -112,22 +115,25 @@ def pchar_jordan(chi: PChar):
     return PChar(s), PChar(n)
 
 
-def coadjoint_matrix(chi: PChar) -> np.ndarray:
-    """Matrix with entries χ([b_i, b_j]); its kernel is the stabiliser."""
-    ctx = get_context(chi.alg)
-    cc = chi.coords(ctx)
-    # M[i, j] = chi([b_j, b_i]): kernel in the j-coordinate
-    return linalg.asmod(np.tensordot(ctx.bracket_coords, cc, axes=(2, 0)).T, chi.alg.p)
+def stabilizer_dim_coeffs(duals: np.ndarray, alg: AlgebraDescriptor):
+    """dim g_m^χ for the character χ = κ_m(c, ·) of each dual coefficient
+    array c of (..., m+1, n, n), via the kernel of the coadjoint matrix
+    M[i, j] = χ([b_j, b_i]).  Cross-checked against the adjoint centraliser
+    of c; raises InternalError if any member disagrees."""
+    ctx = get_context(alg)
+    D, p = ctx.dim, alg.p
+    values = linalg.matmul(ctx.coords(duals).reshape(-1, D), ctx.gram_matrix, p)
+    coadjoint = linalg.matmul(values, ctx.bracket_coords.reshape(D * D, D).T, p)
+    coadjoint = coadjoint.reshape(*duals.shape[:-3], D, D).swapaxes(-1, -2)
+    d = D - linalg.rank(coadjoint, p)
+    if np.any(d != centralizer_dim_coeffs(duals, alg)):
+        raise InternalError("coadjoint and adjoint stabiliser dimensions disagree")
+    return d
 
 
 def stabilizer_dim(chi: PChar) -> int:
     """dim g_m^χ via the coadjoint kernel; cross-checked against the dual."""
-    ctx = get_context(chi.alg)
-    d = ctx.dim - linalg.rank(coadjoint_matrix(chi), chi.alg.p)
-    dc = centralizer_dim(chi.dual)
-    if d != dc:
-        raise InternalError("coadjoint and adjoint stabiliser dimensions disagree")
-    return d
+    return stabilizer_dim_coeffs(chi.dual.coeffs, chi.alg)
 
 
 def truncate_pchar(chi: PChar, k: int) -> PChar:
@@ -260,16 +266,14 @@ def index_estimate(alg: AlgebraDescriptor, samples: int, seed: int):
     """Minimum sampled coadjoint stabiliser dimension with its witness.
 
     Per-sample seeds are derived from the master seed, so the result does not
-    depend on evaluation order.
+    depend on evaluation order.  All samples are evaluated as one stack, and
+    the witness is the first sample of minimal dimension.
     """
     if samples < 1:
         raise ValueError("need samples >= 1")
-    best = None
-    witness = None
-    for i in range(samples):
-        rng = np.random.default_rng((seed, i))
-        chi = random_pchar(alg, rng)
-        d = stabilizer_dim(chi)
-        if best is None or d < best:
-            best, witness = d, chi
-    return best, witness
+    ctx = get_context(alg)
+    coords = np.array([np.random.default_rng((seed, i)).integers(0, alg.p, size=ctx.dim)
+                       for i in range(samples)])
+    dims = stabilizer_dim_coeffs(ctx.from_coords(coords), alg)
+    first = int(np.argmin(dims))
+    return int(dims[first]), PChar(ctx.from_coords(coords[first]))

@@ -15,9 +15,10 @@ import numpy as np
 
 from . import linalg
 from .algebra import (AlgebraDescriptor, CurrentElement, bracket,
-                      centralizer_dim, classify_element, get_context,
-                      is_nilpotent, is_regular, jordan_decompose, kappa_m,
-                      p_map, random_element)
+                      bracket_coeffs, centralizer_dim_coeffs, classify_element,
+                      get_context, is_nilpotent, is_nilpotent_coeffs,
+                      jordan_decompose, kappa_coeffs, p_map_coeffs,
+                      random_element)
 from .errors import InternalError, InvalidDescriptor, TooLarge
 from .formulas import (_regular_degree0_toral, blocks, cartan_formula,
                        classify_simples_homogeneous, kostant_table, kw_scan,
@@ -32,7 +33,7 @@ from .modrep import (DEFAULT_LIMIT, LambdaWeight, build_baby_verma,
                      inflate)
 from .invariants import independence_check, invariance_check
 from .pchar import (PChar, index_estimate, pchar_from_element,
-                    stabilizer_dim, support_degree, truncate_pchar)
+                    stabilizer_dim_coeffs, support_degree)
 from .report import SuiteReport
 
 
@@ -78,53 +79,68 @@ def _regular_nilpotent(alg: AlgebraDescriptor) -> CurrentElement:
 # C1: structure
 
 
+def _draws(seed: int, tag: int, indices, width: int, draw) -> np.ndarray:
+    """(len(indices), width) int64 matrix: row i holds the integers that
+    ``draw`` takes, in order, from sample i's own generator
+    default_rng((seed, tag, i))."""
+    rows = [np.hstack(draw(np.random.default_rng((seed, tag, i)))) for i in indices]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), width)
+
+
+def _count_nonzero(a: np.ndarray) -> int:
+    """Number of samples (leading index) whose coefficient array is nonzero."""
+    return int(np.count_nonzero(a.any(axis=(-3, -2, -1))))
+
+
 def suite_structure(cfg: SuiteConfig) -> SuiteReport:
     alg = cfg.descriptor()
     ctx = get_context(alg)
     rep = SuiteReport("structure", cfg.as_dict())
-    bad_jacobi = 0
-    bad_anti = 0
-    for i in range(cfg.samples):
-        rng = np.random.default_rng((cfg.seed, 101, i))
-        x, y, z = (random_element(alg, rng) for _ in range(3))
-        if not (bracket(x, y) + bracket(y, x)).is_zero():
-            bad_anti += 1
-        jac = bracket(x, bracket(y, z)) + bracket(y, bracket(z, x)) + bracket(z, bracket(x, y))
-        if not jac.is_zero():
-            bad_jacobi += 1
+    p, D = alg.p, ctx.dim
+
+    def br(a, b):
+        return bracket_coeffs(a, b, alg)
+
+    def elements(tag, count, k):
+        """k coefficient stacks of ``count`` random elements each."""
+        v = _draws(cfg.seed, tag, range(count), k * D,
+                   lambda rng: [rng.integers(0, p, size=D) for _ in range(k)])
+        return ctx.from_coords(v.reshape(count, k, D).swapaxes(0, 1))
+
+    X, Y, Z = elements(101, cfg.samples, 3)
+    bad_anti = _count_nonzero((br(X, Y) + br(Y, X)) % p)
+    bad_jacobi = _count_nonzero((br(X, br(Y, Z)) + br(Y, br(Z, X)) + br(Z, br(X, Y))) % p)
     rep.add("bracket is anticommutative on sampled pairs",
             "g ⊗ k[t]/(t^{m+1})", {"samples": cfg.samples}, 0, bad_anti, cfg.seed)
     rep.add("Jacobi identity holds on sampled triples",
             "g ⊗ k[t]/(t^{m+1})", {"samples": cfg.samples}, 0, bad_jacobi, cfg.seed)
-    bad_semilinear = 0
-    bad_graded = 0
-    for i in range(cfg.samples):
-        rng = np.random.default_rng((cfg.seed, 102, i))
-        x = random_element(alg, rng)
-        lam = int(rng.integers(0, alg.p))
-        if not (p_map(x.scale(lam)) - p_map(x).scale(pow(lam, alg.p, alg.p))).is_zero():
-            bad_semilinear += 1
-        # graded rule on a homogeneous element
-        d = int(rng.integers(0, alg.m + 1))
-        x0 = random_element(alg.at_order(0), rng)
-        xh = CurrentElement.from_matrix(alg, x0.coeffs[0], d)
-        target = CurrentElement.from_matrix(alg, p_map(x0).coeffs[0], alg.p * d) \
-            if alg.p * d <= alg.m else CurrentElement.zero(alg)
-        if not (p_map(xh) - target).is_zero():
-            bad_graded += 1
+    # x, a scalar λ, a degree d and a degree-0 element x0 per sample
+    alg0 = alg.at_order(0)
+    ctx0 = get_context(alg0)
+    w = _draws(cfg.seed, 102, range(cfg.samples), D + 2 + ctx0.dim,
+               lambda rng: (rng.integers(0, p, size=D), rng.integers(0, p),
+                            rng.integers(0, alg.m + 1), rng.integers(0, p, size=ctx0.dim)))
+    X, lam, deg, X0 = ctx.from_coords(w[:, :D]), w[:, D], w[:, D + 1], ctx0.from_coords(w[:, D + 2:])
+    lam_p = np.array([pow(int(c), p, p) for c in lam], dtype=np.int64)
+    scaled = p_map_coeffs(X * lam[:, None, None, None] % p, alg)
+    bad_semilinear = _count_nonzero((scaled - p_map_coeffs(X, alg) * lam_p[:, None, None, None]) % p)
+    # graded rule on a homogeneous element: (x0 t^d)^[p] = x0^[p] t^{pd}
+    rows = np.arange(cfg.samples)
+    homogeneous = np.zeros_like(X)
+    homogeneous[rows, deg] = X0[:, 0]
+    target = np.zeros_like(X)
+    kept = p * deg <= alg.m
+    target[rows[kept], p * deg[kept]] = p_map_coeffs(X0, alg0)[kept, 0]
+    bad_graded = _count_nonzero((p_map_coeffs(homogeneous, alg) - target) % p)
     rep.add("p-operation is p-semilinear in scalars",
             "x ↦ x^p - x^{[p]}", {"samples": cfg.samples}, 0, bad_semilinear, cfg.seed)
     rep.add("p-operation respects the graded rule on homogeneous elements",
             "xt^i = x^{[p]}t^{pi}", {"samples": cfg.samples}, 0, bad_graded, cfg.seed)
-    bad_class = 0
-    for i in range(cfg.samples):
-        rng = np.random.default_rng((cfg.seed, 103, i))
-        x = random_element(alg, rng)
-        x0 = CurrentElement.from_matrix(alg, x.coeffs[0], 0)
-        lhs = classify_element(x) == "nilpotent"
-        rhs = is_nilpotent(x0)
-        if lhs != rhs:
-            bad_class += 1
+    # classify_element(x) == "nilpotent" exactly when is_nilpotent(x)
+    (X,) = elements(103, cfg.samples, 1)
+    X0 = np.zeros_like(X)
+    X0[:, 0] = X[:, 0]
+    bad_class = int(np.count_nonzero(is_nilpotent_coeffs(X, alg) != is_nilpotent_coeffs(X0, alg)))
     rep.add("element is nilpotent iff its degree-0 part is nilpotent",
             "x_0 ∈ N(g) is nilpotent", {"samples": cfg.samples}, 0, bad_class, cfg.seed)
     bad_jordan = 0
@@ -143,12 +159,8 @@ def suite_structure(cfg: SuiteConfig) -> SuiteReport:
     gram_rank = linalg.rank(ctx.gram_matrix, alg.p)
     rep.add("invariant-form Gram matrix has full rank",
             "δ_{i+j, m}κ(x, y)", {}, ctx.dim, gram_rank, cfg.seed)
-    bad_assoc = 0
-    for i in range(min(cfg.samples, 50)):
-        rng = np.random.default_rng((cfg.seed, 105, i))
-        x, y, z = (random_element(alg, rng) for _ in range(3))
-        if kappa_m(bracket(x, y), z) != kappa_m(x, bracket(y, z)):
-            bad_assoc += 1
+    X, Y, Z = elements(105, min(cfg.samples, 50), 3)
+    bad_assoc = int(np.count_nonzero(kappa_coeffs(br(X, Y), Z, alg) != kappa_coeffs(X, br(Y, Z), alg)))
     rep.add("invariant form is associative",
             "δ_{i+j, m}κ(x, y)", {"samples": min(cfg.samples, 50)}, 0, bad_assoc, cfg.seed)
     return rep
@@ -165,33 +177,33 @@ def suite_index(cfg: SuiteConfig) -> SuiteReport:
     rep.add("minimal sampled coadjoint stabiliser dimension",
             "ind(g_m) = (m+1) ind(g)",
             {"samples": cfg.samples}, (alg.m + 1) * alg.rank, best, cfg.seed)
+    # regular degree-0 parts, in sample order, until 100 are found: each
+    # chunk draws as many samples as are still needed
+    ctx = get_context(alg)
+    alg0 = alg.at_order(0)
     counterexamples = 0
     tried = 0
     i = 0
     while tried < 100 and i < 100 * 50:
-        rng = np.random.default_rng((cfg.seed, 106, i))
-        i += 1
-        x = random_element(alg, rng)
-        x0 = CurrentElement.from_matrix(alg.at_order(0), x.coeffs[0], 0)
-        if not is_regular(x0):
-            continue
-        tried += 1
-        if not is_regular(x):
-            counterexamples += 1
+        chunk = range(i, min(i + 100 - tried, 100 * 50))
+        i = chunk.stop
+        X = ctx.from_coords(_draws(cfg.seed, 106, chunk, ctx.dim,
+                                   lambda rng: (rng.integers(0, alg.p, size=ctx.dim),)))
+        X = X[centralizer_dim_coeffs(X[:, :1], alg0) == alg0.rank]
+        tried += len(X)
+        counterexamples += int(np.count_nonzero(
+            centralizer_dim_coeffs(X, alg) != (alg.m + 1) * alg.rank))
     rep.add("regularity propagates from the degree-0 part",
             "x_0 is a regular element",
             {"tested": tried}, 0, counterexamples, cfg.seed)
-    bad_semisimple_centralizer = 0
-    for i in range(30):
-        rng = np.random.default_rng((cfg.seed, 107, i))
-        diag = rng.integers(0, alg.p, size=alg.n)
-        if alg.kind == "sl":
-            diag[-1] = (-int(diag[:-1].sum())) % alg.p
-        x0 = CurrentElement.from_matrix(alg, np.diag(diag % alg.p), 0)
-        small = CurrentElement.from_matrix(alg.at_order(0), x0.coeffs[0], 0)
-        expected = (alg.m + 1) * centralizer_dim(small)
-        if centralizer_dim(x0) != expected:
-            bad_semisimple_centralizer += 1
+    diag = _draws(cfg.seed, 107, range(30), alg.n,
+                  lambda rng: (rng.integers(0, alg.p, size=alg.n),))
+    if alg.kind == "sl":
+        diag[:, -1] = (-diag[:, :-1].sum(axis=1)) % alg.p
+    X0 = np.zeros((30, alg.m + 1, alg.n, alg.n), dtype=np.int64)
+    X0[:, 0, range(alg.n), range(alg.n)] = diag % alg.p
+    expected = (alg.m + 1) * centralizer_dim_coeffs(X0[:, :1], alg0)
+    bad_semisimple_centralizer = int(np.count_nonzero(centralizer_dim_coeffs(X0, alg) != expected))
     rep.add("centraliser of a degree-0 toral element is the truncated centraliser",
             "(g_m)^{x_0} = (g^{x_0})_m", {"samples": 30}, 0,
             bad_semisimple_centralizer, cfg.seed)
@@ -203,22 +215,22 @@ def suite_reduction(cfg: SuiteConfig) -> SuiteReport:
     rep = SuiteReport("reduction", cfg.as_dict())
     failures = 0
     tested = 0
-    for i in range(100):
-        rng = np.random.default_rng((cfg.seed, 108, i))
-        if alg.m == 0:
-            break
-        k = int(rng.integers(0, alg.m))
-        coeffs = np.zeros((alg.m + 1, alg.n, alg.n), dtype=np.int64)
-        x = random_element(alg, rng)
-        coeffs[alg.m - k:] = x.coeffs[alg.m - k:]
-        c = CurrentElement(alg, coeffs)
-        chi = pchar_from_element(c)
-        psi = truncate_pchar(chi, k)
-        lhs = alg.dim_gm - stabilizer_dim(chi)
-        rhs = psi.alg.dim_gm - stabilizer_dim(psi)
-        tested += 1
-        if lhs != rhs:
-            failures += 1
+    if alg.m > 0:
+        # a degree k < m and a dual c kept in degrees m-k..m, so that
+        # χ = κ_m(c, ·) has support in degrees <= k and truncates to g_k
+        ctx = get_context(alg)
+        w = _draws(cfg.seed, 108, range(100), 1 + ctx.dim,
+                   lambda rng: (rng.integers(0, alg.m), rng.integers(0, alg.p, size=ctx.dim)))
+        ks = w[:, 0]
+        C = ctx.from_coords(w[:, 1:])
+        C[np.arange(alg.m + 1) < alg.m - ks[:, None]] = 0
+        lhs = alg.dim_gm - stabilizer_dim_coeffs(C, alg)
+        rhs = np.zeros_like(lhs)
+        for k in np.unique(ks).tolist():
+            psi_alg = alg.at_order(k)
+            rhs[ks == k] = psi_alg.dim_gm - stabilizer_dim_coeffs(C[ks == k, alg.m - k:], psi_alg)
+        tested = len(ks)
+        failures = int(np.count_nonzero(lhs != rhs))
     rep.add("degree-reduction preserves the orbit defect",
             "dim g_m - dim g_m^χ = dim g_k - dim g_k^ψ",
             {"tested": tested}, 0, failures, cfg.seed)

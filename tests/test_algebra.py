@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from currentrep import linalg
-from currentrep.algebra import (AlgebraDescriptor, CurrentElement, bracket,
+from currentrep.algebra import (AlgebraDescriptor, CurrentElement,
+                                _p_power_iterates, bracket, bracket_coeffs,
                                 centralizer_basis, centralizer_dim,
-                                classify_element, flatten_regular, get_context,
-                                is_nilpotent, is_regular, jordan_decompose,
-                                kappa_m, minimal_polynomial, p_map,
+                                centralizer_dim_coeffs, classify_element,
+                                flatten_regular, get_context, is_nilpotent,
+                                is_nilpotent_coeffs, is_regular,
+                                jordan_decompose, kappa_coeffs, kappa_m,
+                                minimal_polynomial, p_map, p_map_coeffs,
                                 random_element)
-from currentrep.errors import AlgebraMismatch, InvalidDescriptor
+from currentrep.errors import AlgebraMismatch, InternalError, InvalidDescriptor
 
 SL2 = AlgebraDescriptor("sl", 2, 3, 1)
 
@@ -232,6 +235,16 @@ def test_mat_mult_at_a_large_prime():
                 assert got[k, r, s] == want % p
 
 
+def test_kappa_at_a_large_prime():
+    # with every entry p - 1 each trace sums 9 (p-1)^2 > 2^63; reduced per
+    # matrix product it stays exact
+    p = 1073741789
+    alg = AlgebraDescriptor("gl", 3, p, 1)
+    x = CurrentElement(alg, np.full((2, 3, 3), p - 1, dtype=np.int64))
+    assert kappa_m(x, x) == 2 * 9 % p
+    assert kappa_coeffs(np.stack([x.coeffs, x.coeffs]), x.coeffs, alg).tolist() == [18, 18]
+
+
 def test_public_constructor_rejects_invalid_stacks():
     with pytest.raises(ValueError, match="shape"):
         CurrentElement(SL2, np.zeros((1, 2, 2), dtype=np.int64))
@@ -266,3 +279,59 @@ def test_arithmetic_results_pass_the_public_checks(alg, seed):
     assert x - y == CurrentElement(alg, x.coeffs - y.coeffs)
     assert x.scale(c) == CurrentElement(alg, x.coeffs * c)
     assert bracket(x, y) == CurrentElement(alg, x.mat_mult(y) - y.mat_mult(x))
+
+
+@given(algebras(), st.integers(0, 10 ** 6))
+def test_stack_forms_match_the_element_functions(alg, seed):
+    rng = np.random.default_rng(seed)
+    ctx = get_context(alg)
+    xs = [random_element(alg, rng) for _ in range(5)]
+    # nilpotent members, so the stacked test sees both answers
+    xs += [CurrentElement.from_matrix(alg, [[0] * (alg.n - 1) + [1]] + [[0] * alg.n] * (alg.n - 1)),
+           CurrentElement.zero(alg)]
+    ys = xs[1:] + xs[:1]
+    X = np.stack([x.coeffs for x in xs])
+    Y = np.stack([y.coeffs for y in ys])
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        assert np.array_equal(bracket_coeffs(X, Y, alg)[i], bracket(x, y).coeffs)
+        assert np.array_equal(p_map_coeffs(X, alg)[i], p_map(x).coeffs)
+        assert kappa_coeffs(X, Y, alg)[i] == kappa_m(x, y)
+        assert centralizer_dim_coeffs(X, alg)[i] == centralizer_dim(x)
+        assert np.array_equal(ctx.ad_matrix(X)[i], ctx.ad_matrix(x))
+    assert is_nilpotent_coeffs(X, alg).tolist() == [is_nilpotent(x) for x in xs]
+    # nilpotent exactly when the matrix on R_m^n has a vanishing power
+    size = alg.n * (alg.m + 1)
+    assert [is_nilpotent(x) for x in xs] == [
+        not np.any(linalg.matpow(flatten_regular(x), size, alg.p)) for x in xs]
+    # one stack pairs with a single element by broadcasting
+    assert np.array_equal(bracket_coeffs(X, xs[0].coeffs, alg)[2], bracket(xs[2], xs[0]).coeffs)
+    # any leading shape
+    XX = np.stack([X, Y])
+    assert np.array_equal(p_map_coeffs(XX, alg)[1], p_map_coeffs(Y, alg))
+    assert is_nilpotent_coeffs(XX, alg).shape == (2, len(xs))
+
+
+@given(algebras(), st.integers(0, 10 ** 6))
+def test_coords_and_from_coords_take_stacks(alg, seed):
+    rng = np.random.default_rng(seed)
+    ctx = get_context(alg)
+    V = rng.integers(-alg.p, 2 * alg.p, (2, 3, ctx.dim))
+    X = ctx.from_coords(V)
+    assert X.shape == (2, 3, alg.m + 1, alg.n, alg.n) and X.dtype == np.int64
+    for v, x in zip(V.reshape(-1, ctx.dim), X.reshape(-1, alg.m + 1, alg.n, alg.n)):
+        assert np.array_equal(x, ctx.from_coords(v).coeffs)
+        assert np.array_equal(ctx.coords(ctx.from_coords(v)), v % alg.p)
+    assert np.array_equal(ctx.coords(X), V % alg.p)
+    assert np.array_equal(ctx.basis_coeffs, np.stack([b.coeffs for b in ctx.basis]))
+    assert np.array_equal(ctx.coords(ctx.basis_coeffs), np.eye(ctx.dim, dtype=np.int64))
+    # an empty stack, as a filtered sample stack can be
+    empty = X[:0, 0]
+    assert ctx.coords(empty).shape == (0, ctx.dim)
+    assert centralizer_dim_coeffs(empty, alg).shape == (0,)
+
+
+def test_p_power_iterates_past_their_cap_raise_internal_error():
+    # h^[p] = h: the iterates repeat at the second step
+    assert _p_power_iterates(H, cap=2) == [H]
+    with pytest.raises(InternalError, match="did not repeat within 1 steps"):
+        _p_power_iterates(H, cap=1)

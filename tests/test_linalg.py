@@ -249,3 +249,46 @@ def test_asmod_returns_a_reduced_copy(n):
         b[-1, -1] = bad
         assert np.array_equal(linalg.asmod(b, p), b % p)
     assert np.array_equal(linalg.asmod(a + 7.0, p), a)
+
+
+@st.composite
+def stacks(draw):
+    """(stack, p): matrices of chosen ranks, tall, wide or square, with
+    members of rank 0 and of full rank among them."""
+    p = draw(st.sampled_from([2, 3, 5, 131, 2 ** 31 - 1]))
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    seed = draw(st.integers(0, 10 ** 6))
+    rng = np.random.default_rng(seed)
+    full = min(rows, cols)
+    ranks = [0, full] + [int(r) for r in rng.integers(0, full + 1, draw(st.integers(0, 6)))]
+    mats = [_py_mul(rng.integers(0, p, (rows, r)), rng.integers(0, p, (r, cols)), p)
+            if r else np.zeros((rows, cols), dtype=np.int64) for r in ranks]
+    # a full-rank member: the leading minor is the identity
+    mats[1][:full, :full] = np.eye(full, dtype=np.int64)
+    order = rng.permutation(len(mats))
+    return np.stack([mats[i] for i in order]), p
+
+
+@given(stacks())
+def test_rank_of_a_stack_matches_each_matrix(case):
+    A, p = case
+    got = linalg.rank(A, p)
+    assert got.dtype == np.int64 and got.shape == (len(A),)
+    assert got.tolist() == [linalg.rank(a, p) for a in A]
+    assert 0 in got.tolist() and min(A.shape[1:]) in got.tolist()
+    # leading batch axes of any shape, and unreduced entries
+    two = np.stack([A, (A + p) % p])
+    assert np.array_equal(linalg.rank(two - p, p), np.stack([got, got]))
+
+
+def test_rank_of_empty_stacks():
+    assert linalg.rank(np.zeros((0, 3, 4), dtype=np.int64), 5).shape == (0,)
+    assert linalg.rank(np.zeros((2, 0, 4), dtype=np.int64), 5).tolist() == [0, 0]
+    assert linalg.rank(np.zeros((2, 3, 0), dtype=np.int64), 5).tolist() == [0, 0]
+
+
+def test_action_stack_over_no_generators_keeps_its_dimension():
+    stack = linalg.ActionStack(np.zeros((0, 4, 4), dtype=np.int64), 3)
+    assert stack.k == len(stack) == 0 and stack.d == 4
+    assert stack.images(np.eye(4, dtype=np.int64)).shape == (0, 4, 4)
+    assert stack.transposed().d == 4

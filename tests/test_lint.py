@@ -1,7 +1,8 @@
 """Source rules that a normal test run would not notice being broken.
 
 ``python -O`` strips ``assert`` statements, so library invariants raise
-``InternalError``; a handler for ``Exception`` (or a bare ``except``)
+``InternalError``, and a bare ``RuntimeError`` would hide one among
+ordinary failures; a handler for ``Exception`` (or a bare ``except``)
 would turn a bug into an ordinary-looking outcome; an import inside a
 function hides a module's dependencies from its header, and an import
 that nothing reads lists one that the module does not have; renaming a
@@ -43,6 +44,18 @@ def test_no_asserts_or_broad_handlers_in_library_code():
                 broad = _caught_names(node) & (BROAD | {"<bare>"})
                 if broad:
                     found.append(f"{where} except {', '.join(sorted(broad))}")
+    assert found == []
+
+
+def test_library_invariants_do_not_raise_runtime_error():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "RuntimeError":
+                    found.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert found == []
 
 

@@ -558,3 +558,15 @@ def test_quadratic_endomorphism_field_modules():
     series = chop(ModuleRep(SL2_0, chi, h, [CC]))
     assert [m for _s, m in series.factors] == [2]
     assert list(series.dims.values()) == [2]
+
+
+def test_a_module_over_no_generators_is_decomposed():
+    # the trivial module that the regular module is induced from
+    M = ModuleRep(SL2, PChar.zero(SL2), (), [], dim=1)
+    assert is_irreducible(M, seed=0)
+    series = chop(M, seed=0)
+    assert series.factors == [(series.factors[0][0], 1)]
+    assert list(series.dims.values()) == [1]
+    # with no action to keep a subspace out, every line is a submodule
+    series = chop(ModuleRep(SL2, PChar.zero(SL2), (), [], dim=3), seed=0)
+    assert [m for _s, m in series.factors] == [3] and list(series.dims.values()) == [1]

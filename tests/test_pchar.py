@@ -6,11 +6,13 @@ from currentrep import linalg
 from currentrep.algebra import (AlgebraDescriptor, CurrentElement,
                                 centralizer_dim, classify_element, get_context,
                                 random_element)
-from currentrep.errors import NotNilpotent, UnsupportedTruncation
+from currentrep import pchar
+from currentrep.errors import InternalError, NotNilpotent, UnsupportedTruncation
 from currentrep.pchar import (PChar, index_estimate, pchar_from_element,
                               pchar_jordan, random_pchar,
-                              stabilizer_dim, standard_levi_form,
-                              support_degree, truncate_pchar)
+                              stabilizer_dim, stabilizer_dim_coeffs,
+                              standard_levi_form, support_degree,
+                              truncate_pchar)
 
 SL2 = AlgebraDescriptor("sl", 2, 3, 1)
 E = CurrentElement.from_matrix(SL2, [[0, 1], [0, 0]])
@@ -147,3 +149,41 @@ def test_pchar_serialization():
     d = chi.to_json_dict()
     assert d["class"] == "nilpotent"
     assert PChar.from_json_dict(d) == chi
+
+
+@pytest.mark.parametrize("alg", [SL2, AlgebraDescriptor("sl", 2, 5, 2),
+                                 AlgebraDescriptor("gl", 3, 3, 1)])
+def test_stacked_stabilizer_dims_match_each_character(alg):
+    rng = np.random.default_rng(11)
+    chis = [random_pchar(alg, rng) for _ in range(12)] + [PChar.zero(alg)]
+    duals = np.stack([chi.dual.coeffs for chi in chis])
+    got = stabilizer_dim_coeffs(duals, alg)
+    assert got.tolist() == [stabilizer_dim(chi) for chi in chis]
+    assert got[-1] == alg.dim_gm
+    # the values on the basis are κ_m(c, b_j)
+    ctx = get_context(alg)
+    assert chis[0].coords(ctx).tolist() == [chis[0](b) for b in ctx.basis]
+
+
+def test_stacked_stabilizer_dims_raise_if_any_member_disagrees(monkeypatch):
+    rng = np.random.default_rng(12)
+    duals = np.stack([random_pchar(SL2, rng).dual.coeffs for _ in range(6)])
+    stabilizer_dim_coeffs(duals, SL2)
+    true_dims = pchar.centralizer_dim_coeffs
+
+    def corrupted(a, alg):
+        # one member of the stack, not the first, reports one more
+        return true_dims(a, alg) + (np.arange(len(a)) == 4)
+
+    monkeypatch.setattr(pchar, "centralizer_dim_coeffs", corrupted)
+    with pytest.raises(InternalError, match="disagree"):
+        stabilizer_dim_coeffs(duals, SL2)
+
+
+def test_index_estimate_returns_the_first_minimal_sample():
+    alg = AlgebraDescriptor("sl", 2, 3, 0)
+    best, witness = index_estimate(alg, 40, 5)
+    dims = [stabilizer_dim(random_pchar(alg, np.random.default_rng((5, i)))) for i in range(40)]
+    first = dims.index(min(dims))
+    assert best == min(dims)
+    assert witness == random_pchar(alg, np.random.default_rng((5, first)))
