@@ -1,12 +1,18 @@
 """Structure layer: g_m = g ⊗ F_p[t]/(t^{m+1}) for g = sl_n or gl_n.
 
-Elements are n×n matrices over the truncated polynomial ring, stored as a
-(m+1, n, n) coefficient stack.  The restricted structure is the literal p-th
-matrix power over the ring.  A :class:`LieContext` fixes the ordered basis of
-g_m (t-degree ascending; inside a degree: negative root vectors by root
-height descending, then the toral basis, then positive root vectors by height
-ascending), and caches structure constants, p-power expansions and the
-invariant form needed everywhere else.
+Elements are n×n matrices over the truncated polynomial ring
+R_m = F_p[t]/(t^{m+1}), stored as a (m+1, n, n) coefficient stack: entry
+[d, i, j] is the t^d-coefficient of entry (i, j).  This module owns that
+choice.  Every product over R_m, or over any ring with a monomial basis
+such as the dual numbers R_m[ε]/(ε²), is the one ``_ring_mult`` over the
+ring's structure tensor (``_degree_pairs``, ``_dual_pairs``).
+
+The restricted structure is the literal p-th matrix power over the ring.  A
+:class:`LieContext` fixes the ordered basis of g_m (t-degree ascending;
+inside a degree: negative root vectors by root height descending, then the
+toral basis, then positive root vectors by height ascending), and caches
+structure constants, p-power expansions and the invariant form needed
+everywhere else.
 
 Each quantity has one formula, on coefficient arrays of shape
 (..., m+1, n, n) with any leading batch axes: ``bracket_coeffs``,
@@ -58,7 +64,7 @@ class AlgebraDescriptor:
         if self.n < 2:
             raise InvalidDescriptor("need n >= 2")
         if self.n * (self.p - 1) ** 2 >= 2 ** 63:
-            # the bound _stack_mult relies on: one n x n product of residues
+            # the bound _ring_mult relies on: one n x n product of residues
             raise InvalidDescriptor(f"p = {self.p} is too large for n = {self.n}: "
                                     "element products would leave int64")
         if self.m < 0:
@@ -214,15 +220,34 @@ def _degree_pairs(m: int) -> np.ndarray:
     return S
 
 
-def _stack_mult(a: np.ndarray, b: np.ndarray, p: int, m: int) -> np.ndarray:
-    """Product of coefficient stacks over R_m = F_p[t]/(t^{m+1}), with any
-    leading batch axes (broadcast against each other).
+@lru_cache(maxsize=None)
+def _dual_pairs(m: int) -> np.ndarray:
+    """Structure tensor of R_m[ε]/(ε²) on its monomials t^0..t^m, then
+    ε t^0..ε t^m: t^i t^j, ε t^i · t^j and t^i · ε t^j (ε² = 0)."""
+    S, K = _degree_pairs(m), m + 1
+    D = np.zeros((2 * K, 2 * K, 2 * K), dtype=np.int64)
+    D[:K, :K, :K] = S
+    D[K:, K:, :K] = S
+    D[K:, :K, K:] = S
+    return D
 
-    Each degree pair a_i b_j is reduced mod p before the pairs of one degree
-    are summed, so int64 holds every entry while n (p-1)^2 does.
+
+def _ring_mult(a: np.ndarray, b: np.ndarray, pairs: np.ndarray, p: int) -> np.ndarray:
+    """Product of matrices over the monomial ring whose structure tensor is
+    ``pairs`` (pairs[k, i, j] = 1 when monomial i times monomial j is
+    monomial k), as coefficient arrays (..., K, r, s) and (..., K, s, c) with
+    leading batch axes broadcast against each other.
+
+    Each monomial pair a_i b_j is reduced mod p before the pairs of one
+    monomial are summed, so int64 holds every entry while s (p-1)^2 does.
     """
     prod = np.matmul(a[..., :, None, :, :], b[..., None, :, :, :]) % p
-    return np.einsum("kij,...ijac->...kac", _degree_pairs(m), prod) % p
+    return np.einsum("kij,...ijac->...kac", pairs, prod) % p
+
+
+def _stack_mult(a: np.ndarray, b: np.ndarray, p: int, m: int) -> np.ndarray:
+    """Product of coefficient stacks over R_m = F_p[t]/(t^{m+1})."""
+    return _ring_mult(a, b, _degree_pairs(m), p)
 
 
 def p_map_coeffs(a: np.ndarray, alg: AlgebraDescriptor) -> np.ndarray:
@@ -572,16 +597,10 @@ def squarefree_part(a, p):
 
 
 def flatten_regular(x: CurrentElement) -> np.ndarray:
-    """Matrix of x acting on R_m^n = F_p^{n(m+1)}, basis e_i t^d (d major)."""
-    alg = x.alg
-    n, m, p = alg.n, alg.m, alg.p
-    N = n * (m + 1)
-    X = np.zeros((N, N), dtype=np.int64)
-    for d_in in range(m + 1):
-        for d_shift in range(m + 1 - d_in):
-            blk = x.coeffs[d_shift]
-            X[(d_in + d_shift) * n:(d_in + d_shift + 1) * n, d_in * n:(d_in + 1) * n] = blk
-    return X % p
+    """Matrix of x acting on R_m^n = F_p^{n(m+1)}, basis e_i t^d (d major):
+    block (k, j) is the t^{k-j}-coefficient of x."""
+    N = x.alg.n * (x.alg.m + 1)
+    return np.einsum("kij,iab->kajb", _degree_pairs(x.alg.m), x.coeffs).reshape(N, N)
 
 
 def nilpotency_bound(alg: AlgebraDescriptor) -> int:
@@ -659,22 +678,18 @@ def minimal_polynomial(X: np.ndarray, p: int) -> list:
 
 def invert_over_ring(a_coeffs: np.ndarray, p: int, m: int) -> np.ndarray:
     """Inverse of a matrix over R_m (stack form); constant term must be a unit."""
-    n = a_coeffs.shape[1]
-    b0 = linalg.inv(a_coeffs[0], p)
-    # A = A0 (I + A0^{-1} T) with T the positive-degree part
-    tail = np.zeros_like(a_coeffs)
-    for d in range(1, m + 1):
-        tail[d] = b0 @ a_coeffs[d] % p
+    b0 = np.zeros_like(a_coeffs)
+    b0[0] = linalg.inv(a_coeffs[0], p)
+    # A = A0 (I + N) with N = A0^{-1} A - I nilpotent, so A^{-1} = Σ (-N)^k A0^{-1}
+    tail = _stack_mult(b0, a_coeffs, p, m)
+    tail[0] = 0
     acc = np.zeros_like(a_coeffs)
-    acc[0] = np.eye(n, dtype=np.int64)
+    acc[0] = np.eye(a_coeffs.shape[1], dtype=np.int64)
     term = acc.copy()
     for _ in range(m):
         term = _stack_mult((-term) % p, tail, p, m)
         acc = (acc + term) % p
-    out = np.zeros_like(a_coeffs)
-    for d in range(m + 1):
-        out[d] = acc[d] @ b0 % p
-    return out
+    return _stack_mult(acc, b0, p, m)
 
 
 def _eval_poly_stack(poly, a: np.ndarray, p: int, m: int) -> np.ndarray:

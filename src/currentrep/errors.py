@@ -5,10 +5,6 @@ class CurrentRepError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotInvertible(CurrentRepError):
-    """Element of the truncated polynomial ring has no inverse."""
-
-
 class NoSolution(CurrentRepError):
     """Inconsistent linear system."""
 

@@ -3,101 +3,52 @@
 The generators are the t-expansion coefficients p_{i,j} of the i-th
 characteristic coefficient of a matrix over the truncated ring.  The
 characteristic polynomial is computed by the division-free Berkowitz scheme
-(R_m has zero divisors, so fraction-based elimination is out).  Exact
-forward-mode differentiation over F_p[ε]/(ε²) backs the independence and
-ad-invariance checks.
+(R_m has zero divisors, so fraction-based elimination is out) on coefficient
+arrays, with the ring product of :mod:`currentrep.algebra`.  Run over the
+dual numbers R_m[ε]/(ε²), the same scheme gives exact directional
+derivatives, which back the independence and ad-invariance checks.  Both
+checks evaluate a whole stack of points or directions in one call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .algebra import (AlgebraDescriptor, CurrentElement, bracket,
+from .algebra import (AlgebraDescriptor, CurrentElement, bracket_coeffs,
                       get_context, invert_over_ring, random_element,
-                      _stack_mult)
+                      _degree_pairs, _dual_pairs, _ring_mult, _stack_mult)
 from .errors import BadIndex, InternalError, NoSolution
-from .truncpoly import TruncPoly
 
 
-class DualTrunc:
-    """Element of R_m[ε]/(ε²): value and first derivative parts."""
+def berkowitz_charpoly(a: np.ndarray, pairs: np.ndarray, p: int) -> np.ndarray:
+    """Coefficients (..., n+1, K) of det(X·I - A) = Σ_i c_i X^{n-i}, c_0 = 1,
+    for coefficient arrays A (..., K, n, n) over the monomial ring whose
+    structure tensor is ``pairs``.
 
-    __slots__ = ("val", "der")
-
-    def __init__(self, val: TruncPoly, der: TruncPoly):
-        self.val = val
-        self.der = der
-
-    @classmethod
-    def constant(cls, v: TruncPoly) -> "DualTrunc":
-        return cls(v, TruncPoly.zero(v.p, v.m))
-
-    def __add__(self, other):
-        return DualTrunc(self.val + other.val, self.der + other.der)
-
-    def __sub__(self, other):
-        return DualTrunc(self.val - other.val, self.der - other.der)
-
-    def __neg__(self):
-        return DualTrunc(-self.val, -self.der)
-
-    def __mul__(self, other):
-        return DualTrunc(self.val * other.val,
-                         self.val * other.der + self.der * other.val)
-
-    def is_zero(self):
-        return self.val.is_zero() and self.der.is_zero()
-
-
-def berkowitz_charpoly(A, zero, one):
-    """Coefficients [c_0=1, c_1, ..., c_n] of det(X·I - A) = Σ c_i X^{n-i}.
-
-    Division-free; works over any commutative ring given its zero and one.
+    Division-free (Berkowitz 1984), so it holds over any commutative ring:
+    c = T_{n-1} ··· T_0 · (1), where T_i is the (i+2) × (i+1) lower
+    triangular Toeplitz matrix whose first column is 1, -a_ii, -R C,
+    -R M C, ..., -R M^{i-1} C, for the leading i × i block M, the row
+    R = A[i, :i] and the column C = A[:i, i].
     """
-    n = len(A)
-    coeffs = [one]
-    for i in range(n):
-        a = A[i][i]
-        R = [A[i][t] for t in range(i)]
-        Cc = [A[t][i] for t in range(i)]
-        # s_1 = a, s_k = R · M^{k-2} · Cc for the leading principal block M
-        seq = [a]
-        vec = Cc
+    K = a.shape[-3]
+    one = np.zeros(a.shape[:-3] + (K, 1, 1), dtype=np.int64)
+    one[..., 0, 0, 0] = 1
+    c = one
+    for i in range(a.shape[-1]):
+        M, R, v = a[..., :i, :i], a[..., i:i + 1, :i], a[..., :i, i:i + 1]
+        seq = [a[..., i:i + 1, i:i + 1]]
         for _ in range(i):
-            if not vec:
-                break
-            s = zero
-            for rr, vv in zip(R, vec):
-                s = s + rr * vv
-            seq.append(s)
-            vec = [_ring_dot(A[t][:i], vec, zero) for t in range(i)]
-        # Toeplitz multiply: new[j] = old[j] - sum_{k>=1} seq[k-1] * old[j-k]
-        old = coeffs
-        new = []
-        for j in range(len(old) + 1):
-            term = old[j] if j < len(old) else None
-            acc = term if term is not None else zero
-            for k in range(1, min(j, len(seq)) + 1):
-                acc = acc - seq[k - 1] * old[j - k]
-            new.append(acc)
-        coeffs = new
-    return coeffs
-
-
-def _ring_dot(row, vec, zero):
-    s = zero
-    for a, b in zip(row, vec):
-        s = s + a * b
-    return s
-
-
-def _as_poly_matrix(x: CurrentElement):
-    alg = x.alg
-    return [[TruncPoly(tuple(int(x.coeffs[d, i, j]) for d in range(alg.m + 1)), alg.p, alg.m)
-             for j in range(alg.n)] for i in range(alg.n)]
+            seq.append(_ring_mult(R, v, pairs, p))
+            v = _ring_mult(M, v, pairs, p)
+        col = np.concatenate([one] + [(-s) % p for s in seq], axis=-2)[..., 0]
+        lag = np.subtract.outer(np.arange(i + 2), np.arange(i + 1))
+        T = np.where(lag >= 0, col[..., np.maximum(lag, 0)], 0)
+        c = _ring_mult(T, c, pairs, p)
+    return c[..., 0].swapaxes(-1, -2)
 
 
 def generator_index_range(alg: AlgebraDescriptor):
@@ -105,12 +56,18 @@ def generator_index_range(alg: AlgebraDescriptor):
     return range(1, alg.n + 1) if alg.kind == "gl" else range(2, alg.n + 1)
 
 
-def charpoly_over_ring(x: CurrentElement):
-    """Characteristic coefficients c_1..c_n of x as R_m elements."""
-    alg = x.alg
-    zero = TruncPoly.zero(alg.p, alg.m)
-    one = TruncPoly.one(alg.p, alg.m)
-    return berkowitz_charpoly(_as_poly_matrix(x), zero, one)
+def charpoly_over_ring(x: CurrentElement) -> np.ndarray:
+    """Characteristic coefficients c_0..c_n of x over R_m, as an
+    (n+1, m+1) array: row i holds the t-coefficients of c_i."""
+    return berkowitz_charpoly(x.coeffs, _degree_pairs(x.alg.m), x.alg.p)
+
+
+def _derivatives(a: np.ndarray, v: np.ndarray, alg: AlgebraDescriptor) -> np.ndarray:
+    """ε-parts (..., n+1, m+1) of the characteristic coefficients of
+    a + εv, for coefficient arrays broadcast against each other: the
+    derivatives at a in direction v."""
+    dual = np.concatenate(np.broadcast_arrays(a, v), axis=-3)
+    return berkowitz_charpoly(dual, _dual_pairs(alg.m), alg.p)[..., alg.m + 1:]
 
 
 def eval_invariant(i: int, j: int, x: CurrentElement) -> int:
@@ -119,15 +76,7 @@ def eval_invariant(i: int, j: int, x: CurrentElement) -> int:
     alg = x.alg
     if i not in generator_index_range(alg) or not (0 <= j <= alg.m):
         raise BadIndex(f"invariant index ({i}, {j}) out of range")
-    coeffs = charpoly_over_ring(x)
-    return coeffs[i].coeffs[j]
-
-
-def all_invariants(x: CurrentElement) -> dict:
-    alg = x.alg
-    coeffs = charpoly_over_ring(x)
-    return {(i, j): coeffs[i].coeffs[j]
-            for i in generator_index_range(alg) for j in range(alg.m + 1)}
+    return int(charpoly_over_ring(x)[i, j])
 
 
 def random_group_element(alg: AlgebraDescriptor, rng) -> np.ndarray:
@@ -152,8 +101,8 @@ def conjugate(x: CurrentElement, g: np.ndarray) -> CurrentElement:
 class InvarianceReport:
     samples: int
     seed: int
-    conjugation_failures: list = field(default_factory=list)
-    ad_failures: list = field(default_factory=list)
+    conjugation_failures: list
+    ad_failures: list
 
     @property
     def ok(self) -> bool:
@@ -163,34 +112,25 @@ class InvarianceReport:
 def invariance_check(alg: AlgebraDescriptor, samples: int, seed: int) -> InvarianceReport:
     """p_{i,j}(g x g^{-1}) = p_{i,j}(x) for seeded random x and group points,
     plus vanishing of the directional derivative along bracket directions."""
-    report = InvarianceReport(samples, seed)
+    xs, conj, ys = [], [], []
     for s in range(samples):
         rng = np.random.default_rng((seed, s))
         x = random_element(alg, rng)
         g = random_group_element(alg, rng)
-        vals = all_invariants(x)
-        vals_conj = all_invariants(conjugate(x, g))
-        if vals != vals_conj:
-            report.conjugation_failures.append(s)
-        # infinitesimal invariance: derivative along [y, x] vanishes at x
-        y = random_element(alg, rng)
-        der = directional_derivatives(x, bracket(y, x))
-        if any(v for v in der.values()):
-            report.ad_failures.append(s)
-    return report
-
-
-def directional_derivatives(x: CurrentElement, v: CurrentElement) -> dict:
-    """ε-parts of all p_{i,j} at x in direction v, by one dual-number pass."""
-    alg = x.alg
-    zero = TruncPoly.zero(alg.p, alg.m)
-    one = TruncPoly.one(alg.p, alg.m)
-    xm = _as_poly_matrix(x)
-    vm = _as_poly_matrix(v)
-    A = [[DualTrunc(xm[i][j], vm[i][j]) for j in range(alg.n)] for i in range(alg.n)]
-    coeffs = berkowitz_charpoly(A, DualTrunc.constant(zero), DualTrunc.constant(one))
-    return {(i, j): coeffs[i].der.coeffs[j]
-            for i in generator_index_range(alg) for j in range(alg.m + 1)}
+        xs.append(x.coeffs)
+        conj.append(conjugate(x, g).coeffs)
+        ys.append(random_element(alg, rng).coeffs)
+    gens = list(generator_index_range(alg))
+    shape = (-1, alg.m + 1, alg.n, alg.n)
+    X, C, Y = (np.array(a, dtype=np.int64).reshape(shape) for a in (xs, conj, ys))
+    pairs = _degree_pairs(alg.m)
+    moved = (berkowitz_charpoly(X, pairs, alg.p)[:, gens]
+             != berkowitz_charpoly(C, pairs, alg.p)[:, gens])
+    # infinitesimal invariance: the derivative along [y, x] vanishes at x
+    der = _derivatives(X, bracket_coeffs(Y, X, alg), alg)[:, gens]
+    return InvarianceReport(samples, seed,
+                            np.flatnonzero(moved.any(axis=(1, 2))).tolist(),
+                            np.flatnonzero(der.any(axis=(1, 2))).tolist())
 
 
 @dataclass
@@ -220,11 +160,8 @@ def independence_check(alg: AlgebraDescriptor, samples: int, seed: int) -> Indep
     for s in range(samples):
         rng = np.random.default_rng((seed, s))
         x = random_element(alg, rng)
-        J = np.zeros((nfun, ctx.dim), dtype=np.int64)
-        for col, b in enumerate(ctx.basis):
-            der = directional_derivatives(x, b)
-            for row, (i, j) in enumerate(sorted(der)):
-                J[row, col] = der[(i, j)]
+        # row (i, j) in sorted order, column = basis direction
+        J = _derivatives(x.coeffs, ctx.basis_coeffs, alg)[:, gens].reshape(ctx.dim, nfun).T
         r = linalg.rank(J, alg.p)
         if r > best:
             best, witness = r, s

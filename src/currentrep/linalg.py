@@ -482,10 +482,12 @@ class ActionStack:
         return asmod(self.lifted[:, cols], self.p)
 
     def combination(self, coeffs) -> np.ndarray:
-        """Σ c_i A_i mod p as an int64 matrix, one contraction of the stack."""
+        """Σ c_i A_i mod p as an int64 matrix, for a coefficient row c or for
+        each row of a (..., k) stack: one contraction of the stack."""
         d, k, p = self.d, self.k, self.p
-        c = np.asarray(coeffs, dtype=np.int64).reshape(1, k) % p
-        return asmod(_times(c, self.lifted.reshape(k, d * d), p).reshape(d, d).T, p)
+        c = np.asarray(coeffs, dtype=np.int64) % p
+        out = _times(c.reshape(math.prod(c.shape[:-1]), k), self.lifted.reshape(k, d * d), p)
+        return asmod(out.reshape(*c.shape[:-1], d, d).swapaxes(-1, -2), p)
 
     def transposed(self) -> "ActionStack":
         """The stack of A_1^T, ..., A_k^T."""

@@ -212,14 +212,9 @@ class ModuleRep:
         return self._actions
 
     def action_of_coords(self, coords) -> np.ndarray:
-        """Matrix of an arbitrary element given by global basis coordinates."""
-        p = self.alg.p
-        out = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for slot, g in enumerate(self.gens):
-            c = int(coords[g]) % p
-            if c:
-                out = (out + c * self.action(slot)) % p  # each term below p^2
-        return out
+        """Σ_g coords[g] ρ(g) for the global basis coordinates of an element
+        of the span of ``gens``, or for each row of a (..., dim) stack."""
+        return self.stack.combination(np.asarray(coords)[..., list(self.gens)])
 
     @functools.cached_property
     def central_scalars(self) -> tuple:
@@ -678,37 +673,32 @@ def check_module_axioms(M: ModuleRep) -> AxiomReport:
     ctx = get_context(M.alg)
     p = M.alg.p
     cc = M.chi.coords(ctx)
-    slots = {g: i for i, g in enumerate(M.gens)}
-    k = len(M.gens)
+    gens = list(M.gens)
+    k = len(gens)
     acts = np.array([M.action(i) for i in range(k)], dtype=np.int64).reshape(k, M.dim, M.dim)
-
-    def combination(coords, scalar):
-        """scalar + Σ_z coords[z] ρ(z), or None if some z is not in gens."""
-        out = scalar * np.eye(M.dim, dtype=np.int64) % p
-        for z in np.nonzero(coords)[0]:
-            if int(z) not in slots:
-                return None
-            out = (out + int(coords[z]) * acts[slots[int(z)]]) % p
-        return out
+    outside = np.ones(ctx.dim, dtype=bool)
+    outside[gens] = False
 
     bracket_failures = []
-    for a, gi in enumerate(M.gens):
-        later = [b for b, gj in enumerate(M.gens) if gj > gi]
+    for a, gi in enumerate(gens):
+        later = [b for b, gj in enumerate(gens) if gj > gi]
         commutators = (linalg.matmul(acts[a], acts[later], p)
                        - linalg.matmul(acts[later], acts[a], p)) % p
-        for b, lhs in zip(later, commutators):
-            gj = M.gens[b]
-            rhs = combination(ctx.bracket_coords[gi, gj], 0)
-            if rhs is None:
-                bracket_failures.append((gi, gj, "bracket leaves the subalgebra"))
+        coords = ctx.bracket_coords[gi, [gens[b] for b in later]]
+        for b, lhs, rhs, leaves in zip(later, commutators, M.action_of_coords(coords),
+                                       coords[:, outside].any(axis=1)):
+            if leaves:
+                bracket_failures.append((gi, gens[b], "bracket leaves the subalgebra"))
             elif not np.array_equal(lhs, rhs):
-                bracket_failures.append((gi, gj, "bracket compatibility fails"))
+                bracket_failures.append((gi, gens[b], "bracket compatibility fails"))
     power_failures = []
-    powers = linalg.matpow(acts, p, p)
-    for a, gi in enumerate(M.gens):
-        rhs = combination(ctx.pmap_coords[gi], int(cc[gi]))  # χ(x)^p = χ(x) over F_p
-        if rhs is None:
+    coords = ctx.pmap_coords[gens]
+    # χ(x)^p = χ(x) over F_p
+    rhs = (cc[gens, None, None] * np.eye(M.dim, dtype=np.int64) + M.action_of_coords(coords)) % p
+    for gi, lhs, r, leaves in zip(gens, linalg.matpow(acts, p, p), rhs,
+                                  coords[:, outside].any(axis=1)):
+        if leaves:
             power_failures.append((gi, "p-power leaves the subalgebra"))
-        elif not np.array_equal(powers[a], rhs):
+        elif not np.array_equal(lhs, r):
             power_failures.append((gi, "p-power rule fails"))
     return AxiomReport(bracket_failures, power_failures)

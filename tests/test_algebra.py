@@ -9,10 +9,12 @@ from currentrep.algebra import (AlgebraDescriptor, CurrentElement,
                                 centralizer_dim_coeffs, classify_element,
                                 flatten_regular, get_context, is_nilpotent,
                                 is_nilpotent_coeffs, is_regular,
-                                jordan_decompose, kappa_coeffs, kappa_m,
-                                minimal_polynomial, p_map, p_map_coeffs,
-                                random_element)
-from currentrep.errors import AlgebraMismatch, InternalError, InvalidDescriptor
+                                invert_over_ring, jordan_decompose,
+                                kappa_coeffs, kappa_m, minimal_polynomial,
+                                p_map, p_map_coeffs, random_element,
+                                _stack_mult)
+from currentrep.errors import (AlgebraMismatch, InternalError,
+                               InvalidDescriptor, NoSolution)
 
 SL2 = AlgebraDescriptor("sl", 2, 3, 1)
 
@@ -335,3 +337,71 @@ def test_p_power_iterates_past_their_cap_raise_internal_error():
     assert _p_power_iterates(H, cap=2) == [H]
     with pytest.raises(InternalError, match="did not repeat within 1 steps"):
         _p_power_iterates(H, cap=1)
+
+
+# ---------------------------------------------------------------------------
+# R_m = F_p[t]/(t^{m+1}) on coefficient arrays: a ring element is a 1 × 1
+# stack (m+1, 1, 1), a matrix over R_m an (m+1, n, n) stack
+
+
+def ring(*coeffs):
+    return np.array(coeffs, dtype=np.int64).reshape(-1, 1, 1)
+
+
+def test_telescoping_product():
+    # (1+t)(1-t) = 1 in F_3[t]/(t^2)
+    assert _stack_mult(ring(1, 1), ring(1, 2), 3, 1).ravel().tolist() == [1, 0]
+
+
+def test_truncation_kills_top():
+    # t · t^m = 0 in R_3
+    assert not _stack_mult(ring(0, 1, 0, 0), ring(0, 0, 0, 1), 3, 3).any()
+
+
+def test_geometric_series_inverse():
+    # the inverse of 1+t in R_2 is 1 - t + t^2
+    assert invert_over_ring(ring(1, 1, 0), 3, 2).ravel().tolist() == [1, 2, 1]
+
+
+def test_non_invertible_constant_term():
+    with pytest.raises(NoSolution):
+        invert_over_ring(ring(0, 1), 3, 1)
+
+
+@st.composite
+def ring_matrices(draw, n, count, p=5, m=2):
+    """``count`` random n × n matrices over R_2 at p = 5."""
+    size = (m + 1) * n * n
+    return [np.array(draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size)),
+                     dtype=np.int64).reshape(m + 1, n, n) for _ in range(count)]
+
+
+@given(st.sampled_from([1, 2]).flatmap(lambda n: ring_matrices(n, 3)))
+def test_ring_axioms(abc):
+    a, b, c = abc
+    p, m = 5, 2
+
+    def mult(x, y):
+        return _stack_mult(x, y, p, m)
+
+    one = np.zeros_like(a)
+    one[0] = np.eye(a.shape[-1], dtype=np.int64)
+    assert np.array_equal(mult((a + b) % p, c), (mult(a, c) + mult(b, c)) % p)
+    assert np.array_equal(mult(c, (a + b) % p), (mult(c, a) + mult(c, b)) % p)
+    assert np.array_equal(mult(mult(a, b), c), mult(a, mult(b, c)))
+    assert np.array_equal(mult(a, one), a) and np.array_equal(mult(one, a), a)
+    if a.shape[-1] == 1:
+        assert np.array_equal(mult(a, b), mult(b, a))
+
+
+@given(st.sampled_from([1, 2]).flatmap(lambda n: ring_matrices(n, 1)))
+def test_inverse_roundtrip(drawn):
+    (a,) = drawn
+    p, m, n = 5, 2, a.shape[-1]
+    if linalg.rank(a[0], p) < n:
+        with pytest.raises(NoSolution):
+            invert_over_ring(a, p, m)
+    else:
+        one = np.zeros_like(a)
+        one[0] = np.eye(n, dtype=np.int64)
+        assert np.array_equal(_stack_mult(a, invert_over_ring(a, p, m), p, m), one)

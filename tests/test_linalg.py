@@ -232,6 +232,10 @@ def test_action_stack_holds_the_actions(p):
             assert got.dtype == np.int64
             assert np.array_equal(got, np.asarray(ref, dtype=np.int64))
     assert np.array_equal(stack.combination(c), (comb % p).astype(np.int64))
+    # a stack of coefficient rows gives one combination per row
+    rows = np.stack([c, (c + 1) % p, 0 * c]).reshape(3, 1, 3)
+    assert np.array_equal(stack.combination(rows)[:, 0],
+                          [stack.combination(row[0]) for row in rows])
 
 
 @pytest.mark.parametrize("n", [2, 64])

@@ -9,12 +9,15 @@ that nothing reads lists one that the module does not have; renaming a
 function that the benchmark wraps by name would only show when the
 benchmark runs; code outside ``linalg`` that reads its private helpers
 or the lifted action stack depends on how F_p values are held in flight,
-which only ``linalg`` may know; and a function or class that no library
-code reads is API that only tests keep alive.
+which only ``linalg`` may know; a function or class that no library
+code reads is API that only tests keep alive; and a module that the
+README does not name, or a name there with no module, leaves its map of
+the package wrong.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import currentrep
@@ -182,3 +185,10 @@ def test_benchmark_wraps_names_that_exist():
     SUITES = importlib.import_module("currentrep.suites").SUITES
     missing += [f"suite {e.value}" for e in suites.elts if e.value not in SUITES]
     assert missing == []
+
+
+def test_readme_lists_every_module():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"`currentrep\.(\w+)`", readme))
+    modules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    assert sorted(modules - named) == [] and sorted(named - modules) == []

@@ -280,6 +280,16 @@ def test_axiom_checker_records_a_p_power_outside_the_span():
     assert rep.power_failures == [(ht, "p-power leaves the subalgebra")]
 
 
+def test_axiom_checker_records_a_bracket_outside_the_span():
+    # [f, e] = -h, which is not in the span of f and e
+    alg = AlgebraDescriptor("sl", 2, 3, 0)
+    ctx = get_context(alg)
+    (e,), (f,) = ctx.nplus_indices, ctx.nminus_indices
+    rep = check_module_axioms(ModuleRep(alg, PChar.zero(alg), [f, e], [[[0]], [[0]]]))
+    assert f < e and rep.bracket_failures == [(f, e, "bracket leaves the subalgebra")]
+    assert rep.power_failures == []
+
+
 def test_induction_rejects_a_base_that_is_not_a_module():
     alg = AlgebraDescriptor("sl", 2, 3, 0)
     ctx = get_context(alg)
