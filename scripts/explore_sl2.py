@@ -21,7 +21,7 @@ print("simple dimensions:", dict(sorted(lc.dims.items())))
 cat = SimpleCatalog(seed=1)
 labels = {}
 for w, sid in lc.label_of.items():
-    labels[w] = cat.register(inflate(lc.catalog.get(sid), 1), f"L{w}")
+    labels[w] = cat.match(inflate(lc.catalog.get(sid), 1), f"L{w}")
 
 weights = sorted(lc.values)
 print("\nbaby Verma multiplicities (rows: λ, columns: μ; formula == chop)")

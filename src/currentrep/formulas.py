@@ -124,7 +124,7 @@ def l_constants(alg: AlgebraDescriptor, seed: int = 0) -> LConstants:
     label_of = {}
     vermas = [build_baby_verma(chi0, lam) for lam in lams]
     for lam, Z in zip(lams, vermas):
-        label_of[lam.degree_zero] = cat.register(head(Z, seed=seed), f"L{lam.degree_zero}")
+        label_of[lam.degree_zero] = cat.match(head(Z, seed=seed), f"L{lam.degree_zero}")
     values = Counter()
     for Z in vermas:
         series = chop(Z, seed=seed, catalog=cat)
@@ -237,15 +237,8 @@ def classify_simples_homogeneous(chi: PChar, seed: int = 0) -> SimpleClassificat
 
 def _eval_on_diagonal(ctx, lam: LambdaWeight, dmat: np.ndarray) -> int:
     """Evaluate a weight on a degree-0 diagonal element of the algebra."""
-    alg = ctx.alg
-    x = CurrentElement.from_matrix(alg, dmat, 0)
-    coords = ctx.coords(x)
-    total = 0
-    for idx in ctx.torus_indices:
-        meta = ctx.meta[idx]
-        if meta.degree == 0 and coords[idx]:
-            total += int(coords[idx]) * lam.value(0, meta.pos[0])
-    return total % alg.p
+    x = CurrentElement.from_matrix(ctx.alg, dmat, 0)
+    return int(np.dot(ctx.coords(x), lam.coords(ctx))) % ctx.alg.p
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +338,7 @@ def _simple_factors_via_regular(chi: PChar, seed: int, limit: int):
 def _simple_factors_via_vermas(chi: PChar, seed: int, limit: int):
     """Verma composition factors (each is a genuine simple), or None."""
     ctx = get_context(chi.alg)
-    if not chi.vanishes_on(ctx.nplus_indices, ctx):
+    if not chi.vanishes_on(ctx.nplus_indices):
         return None
     try:
         lams = enumerate_lambda(chi)

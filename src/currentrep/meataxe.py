@@ -197,16 +197,14 @@ def find_invariant_subspace(stack: linalg.ActionStack, p: int, rng):
         for stage in (_shift_kernels, _quadratic_kernels):
             for f, ker in stage(w, p):
                 certifying = ker.shape[0] == len(f) - 1
-                all_full = True
                 for v in ker[:1 if certifying else SPIN_TRIES]:
                     sub = spin(stack, v, p)
                     if sub.dim < d:
-                        all_full = False
                         if d // 4 <= sub.dim <= 3 * d // 4:
                             return sub
                         if best is None or abs(sub.dim - d / 2) < abs(best.dim - d / 2):
                             best = sub
-                if certifying and all_full and best is None:
+                if certifying and best is None:
                     if transposed is None:
                         transposed = stack.transposed()
                     return _norton_transpose(transposed, _poly_at(f, w, p), p)
@@ -447,9 +445,6 @@ class SimpleCatalog:
                 return rep
         raise KeyError(sid)
 
-    def register(self, rep: ModuleRep, label: str) -> str:
-        return self.match(rep, label=label)
-
 
 @dataclass
 class CompositionSeries:
@@ -600,13 +595,13 @@ def highest_weight_vectors(N: ModuleRep, lam) -> np.ndarray:
     ctx = get_context(N.alg)
     slots = {g: i for i, g in enumerate(N.gens)}
     eye = np.eye(N.dim, dtype=np.int64)
+    vals = lam.coords(ctx)
 
     def mats():
         for g in ctx.nplus_indices:
             yield N.action(slots[g])
         for idx in ctx.torus_indices:
-            meta = ctx.meta[idx]
-            yield N.action(slots[idx]) - lam.value(meta.degree, meta.pos[0]) * eye
+            yield N.action(slots[idx]) - vals[idx] * eye
 
     return linalg.joint_kernel(mats(), N.alg.p)
 

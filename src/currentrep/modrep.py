@@ -20,6 +20,11 @@ its own base matrices.  The last two keys stay cached: within one round of
 the benchmark's workloads every repeated key recurs at LRU stack distance 0
 or 1, while the KW scan meets a new key on most builds, so a larger cache
 would mainly hold regular-module tables that are not used again.
+
+A weight λ is read as a coordinate vector on the basis of g_m, as a
+character is.  The weights compatible with χ, the check of one weight and
+the weight of a central twist all solve one linear system, (I - P) λ = χ
+with P the p-map, on the toral basis or on the whole basis.
 """
 
 from __future__ import annotations
@@ -60,87 +65,68 @@ class LambdaWeight:
     def degree_zero(self) -> tuple:
         return self.values[0]
 
-    def value(self, degree: int, j: int) -> int:
-        return self.values[degree][j]
+    def coords(self, ctx) -> np.ndarray:
+        """λ on the ordered basis of g_m, 0 off the torus.  The toral basis
+        runs by degree, then position, as ``values`` does row by row."""
+        out = np.zeros(ctx.dim, dtype=np.int64)
+        out[ctx.torus_indices] = np.ravel(self.values)
+        return out
 
     def label(self) -> str:
         return "λ=" + ",".join(str(v) for v in self.degree_zero)
 
 
+@functools.lru_cache(maxsize=None)
+def _restricted_system(alg: AlgebraDescriptor, idx: tuple) -> np.ndarray:
+    """I - P on the basis elements ``idx``, P the p-map on their coordinates.
+
+    Over F_p a^p = a, so a functional λ on their span satisfies
+    λ(x)^p - λ(x^{[p]}) = χ(x)^p on each of them exactly when
+    (I - P) λ = χ.  The span must be closed under the p-map.
+    """
+    idx = list(idx)
+    P = get_context(alg).pmap_coords[idx]
+    if np.delete(P, idx, axis=1).any():
+        raise InternalError("p-map leaves the span of the index set")
+    A = (np.eye(len(idx), dtype=np.int64) - P[:, idx]) % alg.p
+    A.flags.writeable = False
+    return A
+
+
 def lambda_equations_hold(lam: LambdaWeight, chi: PChar) -> bool:
     """Check λ(h t^i)^p - λ((h t^i)^{[p]}) - χ(h t^i)^p = 0 on the toral basis."""
     ctx = get_context(chi.alg)
-    p = chi.alg.p
-    lam_coords = np.zeros(ctx.dim, dtype=np.int64)
-    for idx in ctx.torus_indices:
-        meta = ctx.meta[idx]
-        j = meta.pos[0]
-        lam_coords[idx] = lam.value(meta.degree, j)
-    for idx in ctx.torus_indices:
-        lhs = pow(int(lam_coords[idx]), p, p)
-        lhs = (lhs - int(np.dot(ctx.pmap_coords[idx], lam_coords) % p)) % p
-        rhs = pow(int(chi.coords(ctx)[idx]), p, p)
-        if lhs != rhs:
-            return False
-    return True
+    torus = ctx.torus_indices
+    A = _restricted_system(chi.alg, tuple(torus))
+    residual = (A @ lam.coords(ctx)[torus] - chi.coords()[torus]) % chi.alg.p
+    return not residual.any()
 
 
 def enumerate_lambda(chi: PChar):
-    """All F_p-valued weights compatible with χ, solved top degree down.
+    """All F_p-valued weights compatible with χ, in lexicographic order.
 
-    Degrees m..1 are forced; degree 0 gives the additive equations
-    λ(h)^p - λ(h^{[p]}) = χ(h)^p whose F_p-solutions (if any) form an affine
-    space enumerated in lexicographic order.
+    They solve (I - P) λ = χ on the toral basis, an affine space.  The rows
+    of degree ≥ 1 are unitriangular (the p-map raises the t-degree), so
+    they force λ there, and only the degree-0 equations can fail.
     """
     alg = chi.alg
     ctx = get_context(alg)
-    p, m, r = alg.p, alg.m, alg.rank
-    if not chi.vanishes_on(ctx.nplus_indices, ctx):
+    p, r = alg.p, alg.rank
+    if not chi.vanishes_on(ctx.nplus_indices):
         raise BadCharacter("character must vanish on the positive part")
-    cc = chi.coords(ctx)
     torus = ctx.torus_indices
-    by_deg = {d: [i for i in torus if ctx.meta[i].degree == d] for d in range(m + 1)}
-    forced = {}
-    for d in range(m, 0, -1):
-        for idx in by_deg[d]:
-            pm = ctx.pmap_coords[idx]
-            # λ on the p-power: lands in strictly higher degree, already forced
-            acc = 0
-            for k in np.nonzero(pm)[0]:
-                if k not in forced:
-                    raise InternalError("p-power left the forced region")
-                acc = (acc + int(pm[k]) * forced[k]) % p
-            # λ(x)^p = λ(x) over F_p, so λ(x) = χ(x) + λ(x^{[p]})
-            forced[idx] = (int(cc[idx]) + acc) % p
-    # degree 0: linear system (I - P0) * v = χ-values, P0 from the p-map
-    deg0 = by_deg[0]
-    A = np.eye(r, dtype=np.int64)
-    rhs = np.zeros(r, dtype=np.int64)
-    for row, idx in enumerate(deg0):
-        pm = ctx.pmap_coords[idx]
-        acc = 0
-        for k in np.nonzero(pm)[0]:
-            if k in forced:
-                acc = (acc + int(pm[k]) * forced[k]) % p
-            else:
-                col = deg0.index(k)
-                A[row, col] = (A[row, col] - int(pm[k])) % p
-        rhs[row] = (int(cc[idx]) + acc) % p
+    A = _restricted_system(alg, tuple(torus))
     try:
-        part = linalg.solve(A, rhs, p)
+        part = linalg.solve(A, chi.coords()[torus], p)
     except NoSolution:
         raise NeedsFieldExtension("degree-0 weight equations have no F_p solution")
     ker = linalg.kernel(A, p)
     out = []
-    # coefficient vectors of the kernel rows in lexicographic order
     for coeffs in itertools.product(range(p), repeat=len(ker)):
         v = part.copy()
         for c, row in zip(coeffs, ker):
             v = (v + c * row) % p
-        rows = [tuple(int(x) for x in v)]
-        for d in range(1, m + 1):
-            rows.append(tuple(forced[idx] for idx in by_deg[d]))
-        out.append(LambdaWeight(tuple(rows)))
+        out.append(LambdaWeight(tuple(tuple(row) for row in v.reshape(-1, r).tolist())))
     out.sort(key=lambda w: w.values)
     return out
 
@@ -454,7 +440,7 @@ def build_induced(chi: PChar, comp_indices, base: ModuleRep, limit: int = DEFAUL
     if not axioms.ok:
         *where, why = (axioms.bracket_failures + axioms.power_failures)[0]
         raise BadCharacter(f"base module: {why} at {', '.join(ctx.meta[g].label for g in where)}")
-    cc = chi.coords(ctx)
+    cc = chi.coords()
     tables = _normal_form_tables(alg, comp, tuple(int(cc[g]) for g in comp), base.gens)
     stack = np.stack([np.eye(base.dim, dtype=np.int64)]
                      + [base.action(i) for i in range(len(base.gens))])
@@ -491,9 +477,8 @@ def build_induced(chi: PChar, comp_indices, base: ModuleRep, limit: int = DEFAUL
 def _weight_line(chi: PChar, lam: LambdaWeight, gens) -> ModuleRep:
     """The one-dimensional module k_λ over ``gens``: toral generators act by
     λ, the others by 0."""
-    ctx = get_context(chi.alg)
-    acts = [[[lam.value(ctx.meta[g].degree, ctx.meta[g].pos[0]) if ctx.meta[g].part == "h" else 0]]
-            for g in gens]
+    vals = lam.coords(get_context(chi.alg))
+    acts = [[[vals[g]]] for g in gens]
     return ModuleRep(chi.alg, chi, gens, acts, weight_tags=[lam.degree_zero],
                      basis_labels=["1_" + lam.label()])
 
@@ -597,14 +582,8 @@ def inflate(M: ModuleRep, target_m: int) -> ModuleRep:
 
 def solve_twist_weight(eta: PChar) -> np.ndarray:
     """One-dimensional weight μ with μ(x)^p - μ(x^{[p]}) = η(x)^p on the basis."""
-    ctx = get_context(eta.alg)
-    p = eta.alg.p
-    cc = eta.coords(ctx)
-    D = ctx.dim
-    # row for basis element i: μ(b_i) - sum_k P[i,k] μ(b_k) = η(b_i)
-    A = (np.eye(D, dtype=np.int64) - ctx.pmap_coords) % p
-    mu = linalg.solve(A, cc, p)
-    return mu
+    A = _restricted_system(eta.alg, tuple(range(get_context(eta.alg).dim)))
+    return linalg.solve(A, eta.coords(), eta.alg.p)
 
 
 def twist_module(M: ModuleRep, eta: PChar) -> ModuleRep:
@@ -616,18 +595,12 @@ def twist_module(M: ModuleRep, eta: PChar) -> ModuleRep:
     alg = M.alg
     ctx = get_context(alg)
     p = alg.p
-    cc = eta.coords(ctx)
-    for i in M.gens:
-        for j in M.gens:
-            br = ctx.bracket_coords[i, j]
-            if int(np.dot(br, cc) % p):
-                raise BadTwist("twisting functional does not vanish on the derived subalgebra")
+    brackets = ctx.bracket_coords[np.ix_(M.gens, M.gens)]
+    if np.any(brackets @ eta.coords() % p):
+        raise BadTwist("twisting functional does not vanish on the derived subalgebra")
     mu = solve_twist_weight(eta)
-    for i in M.gens:
-        for j in M.gens:
-            br = ctx.bracket_coords[i, j]
-            if int(np.dot(br, mu) % p):
-                raise BadTwist("twist weight fails to kill the derived subalgebra")
+    if np.any(brackets @ mu % p):
+        raise BadTwist("twist weight fails to kill the derived subalgebra")
     eye = np.eye(M.dim, dtype=np.int64)
     actions = []
     for slot, g in enumerate(M.gens):
@@ -672,7 +645,7 @@ def check_module_axioms(M: ModuleRep) -> AxiomReport:
     """
     ctx = get_context(M.alg)
     p = M.alg.p
-    cc = M.chi.coords(ctx)
+    cc = M.chi.coords()
     gens = list(M.gens)
     k = len(gens)
     acts = np.array([M.action(i) for i in range(k)], dtype=np.int64).reshape(k, M.dim, M.dim)

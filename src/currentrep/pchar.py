@@ -50,18 +50,16 @@ class PChar:
     def is_zero(self) -> bool:
         return self.dual.is_zero()
 
-    def coords(self, ctx=None) -> np.ndarray:
+    def coords(self) -> np.ndarray:
         """Values on the ordered basis of g_m."""
-        ctx = ctx or get_context(self.alg)
-        key = ("coords", id(ctx))
-        if key not in self._flags:
+        if "coords" not in self._flags:
+            ctx = get_context(self.alg)
             # χ(b_j) = κ_m(c, b_j) = Σ_i c_i κ_m(b_i, b_j)
-            self._flags[key] = linalg.matmul(ctx.coords(self.dual), ctx.gram_matrix, self.alg.p)
-        return self._flags[key]
+            self._flags["coords"] = linalg.matmul(ctx.coords(self.dual), ctx.gram_matrix, self.alg.p)
+        return self._flags["coords"]
 
-    def vanishes_on(self, indices, ctx=None) -> bool:
-        c = self.coords(ctx)
-        return not any(c[i] for i in indices)
+    def vanishes_on(self, indices) -> bool:
+        return not np.any(self.coords()[list(indices)])
 
     def support_degrees(self):
         """Degrees j with χ nonzero on g_m^{(j)}."""

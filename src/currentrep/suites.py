@@ -262,7 +262,7 @@ def _labelled_catalog(alg: AlgebraDescriptor, seed: int):
     for w, sid in lc.label_of.items():
         L = lc.catalog.get(sid)
         Lm = inflate(L, alg.m) if alg.m > 0 else L
-        label_by_weight[w] = cat.register(Lm, f"L{w}")
+        label_by_weight[w] = cat.match(Lm, f"L{w}")
     return lc, cat, label_by_weight
 
 
@@ -582,7 +582,7 @@ def suite_semisimple(cfg: SuiteConfig) -> SuiteReport:
         cat = SimpleCatalog(seed=cfg.seed)
         for i, lam_i in enumerate(enumerate_lambda(chi)):
             Z = build_baby_verma(chi, lam_i, limit=limit)
-            cat.register(Z, f"V{i}")
+            cat.match(Z, f"V{i}")
         U = build_regular_module(chi, limit=limit)
         useries = chop(U, seed=cfg.seed, catalog=cat)
         proj_dim = alg.p ** ((alg.m + 1) * (alg.dim_g + alg.rank) // 2 - alg.rank)

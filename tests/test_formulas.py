@@ -244,7 +244,7 @@ def test_composition_sum_law_for_zproj():
     labels = {}
     for lam in enumerate_lambda(chi0s):
         L = head(build_baby_verma(chi0s, lam), seed=8)
-        labels[lam.degree_zero] = cat.register(inflate(L, 1), f"L{lam.degree_zero}")
+        labels[lam.degree_zero] = cat.match(inflate(L, 1), f"L{lam.degree_zero}")
     chi = PChar.zero(SL2)
     for lam in enumerate_lambda(chi):
         Zp = build_Zproj(chi, lam)

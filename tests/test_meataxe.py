@@ -31,7 +31,7 @@ def restricted_simples():
     labels = {}
     for lam in enumerate_lambda(chi0):
         L = head(build_baby_verma(chi0, lam), seed=1)
-        labels[lam.degree_zero[0]] = cat.register(inflate(L, 1), f"L({lam.degree_zero[0]})")
+        labels[lam.degree_zero[0]] = cat.match(inflate(L, 1), f"L({lam.degree_zero[0]})")
     return cat, labels
 
 
@@ -305,7 +305,7 @@ def test_chop_regular_module_small():
     labels = {}
     for lam in enumerate_lambda(chi0):
         L = head(build_baby_verma(chi0, lam), seed=9)
-        labels[lam.degree_zero[0]] = cat.register(L, f"L({lam.degree_zero[0]})")
+        labels[lam.degree_zero[0]] = cat.match(L, f"L({lam.degree_zero[0]})")
     U = build_regular_module(chi0)
     series = chop(U, seed=9, catalog=cat)
     # [U_0(sl_2) : L(λ)] = dim Q(λ): masses must add to 27

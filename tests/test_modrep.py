@@ -1,3 +1,4 @@
+import itertools
 import json
 from collections import Counter
 
@@ -15,7 +16,8 @@ from currentrep.modrep import (LambdaWeight, ModuleRep, build_baby_verma,
                                build_regular_module, build_torus_projective,
                                build_Zproj, check_module_axioms,
                                enumerate_lambda, inflate,
-                               solve_twist_weight, twist_module)
+                               lambda_equations_hold, solve_twist_weight,
+                               twist_module)
 from currentrep.pchar import PChar, pchar_from_element
 from currentrep.suites import SuiteConfig, run_suite
 
@@ -79,8 +81,7 @@ def test_baby_verma_dimension_and_weights():
         assert not np.any(Z.action(slots[g])[:, 0])
     for g in ctx.torus_indices:
         col = Z.action(slots[g])[:, 0]
-        meta = ctx.meta[g]
-        assert col[0] == lam.value(meta.degree, meta.pos[0])
+        assert col[0] == lam.coords(ctx)[g]
         assert not np.any(np.delete(col, 0))
 
 
@@ -331,14 +332,54 @@ def test_large_prime_actions_are_stored_exactly():
 
 
 def test_solve_twist_weight_property():
-    ctx = get_context(SL2)
-    eta = PChar(H.scale(1))
-    mu = solve_twist_weight(eta)
-    cc = eta.coords(ctx)
-    p = SL2.p
-    for i in range(ctx.dim):
-        lhs = (int(mu[i]) - int(np.dot(ctx.pmap_coords[i], mu) % p)) % p
-        assert lhs == int(cc[i]) % p
+    # η on gl2 p5 m1 is dual to a degree-0 element, so it is 0 in degree 0
+    gl2 = AlgebraDescriptor("gl", 2, 5, 1)
+    for dual in (H.scale(1), CurrentElement.from_matrix(gl2, [[1, 2], [0, 3]], 0)):
+        ctx = get_context(dual.alg)
+        eta = PChar(dual)
+        mu = solve_twist_weight(eta)
+        cc = eta.coords()
+        p = dual.alg.p
+        for i in range(ctx.dim):
+            lhs = (int(mu[i]) - int(np.dot(ctx.pmap_coords[i], mu) % p)) % p
+            assert lhs == int(cc[i]) % p
+
+
+@pytest.mark.parametrize("kind,n,p,m", [("sl", 2, 3, 2), ("gl", 2, 3, 1),
+                                        ("sl", 3, 2, 1), ("gl", 2, 5, 1)])
+def test_weights_against_brute_force(kind, n, p, m):
+    # oracle: every λ in F_p^{r(m+1)} against the equations as stated,
+    # λ(h)^p - λ(h^{[p]}) = χ(h)^p on each toral h, in Python integers
+    alg = AlgebraDescriptor(kind, n, p, m)
+    ctx = get_context(alg)
+    torus = ctx.torus_indices
+    pmap = ctx.pmap_coords.tolist()
+    candidates = list(itertools.product(range(p), repeat=len(torus)))
+    for k in range(10):
+        v = np.random.default_rng((13, k)).integers(0, p, size=ctx.dim)
+        if k % 2 == 0:
+            v[ctx.nminus_indices] = 0  # an upper triangular dual: χ(n+) = 0
+        if k % 4 == 0:
+            v[torus[-alg.rank:]] = 0  # and χ = 0 on the degree-0 torus
+        chi = PChar(ctx.from_coords(v))
+        cc = chi.coords().tolist()
+
+        def holds(vals):
+            lam = dict(zip(torus, vals))
+            return all((pow(lam[h], p, p) - sum(pmap[h][j] * lam[j] for j in torus)) % p
+                       == pow(cc[h], p, p) for h in torus)
+
+        weights = [LambdaWeight(tuple(zip(*[iter(c)] * alg.rank))) for c in candidates]
+        oracle = [w.values for w, c in zip(weights, candidates) if holds(c)]
+        assert [lambda_equations_hold(w, chi) for w in weights] == [holds(c) for c in candidates]
+        if any(cc[e] for e in ctx.nplus_indices):
+            with pytest.raises(BadCharacter):
+                enumerate_lambda(chi)
+        elif not oracle:
+            with pytest.raises(NeedsFieldExtension):
+                enumerate_lambda(chi)
+        else:
+            assert [w.values for w in enumerate_lambda(chi)] == sorted(oracle)
 
 
 def test_p_centre_acts_by_chi_on_random_elements():
@@ -369,7 +410,7 @@ def test_sl2_baby_verma_closed_form(p):
     (e,), (f,), (h,) = ctx.nplus_indices, ctx.nminus_indices, ctx.torus_indices
     for c in (0, 1, p - 1):
         chi = pchar_from_element(CurrentElement.from_matrix(alg, [[0, c], [0, 0]]))
-        assert int(chi.coords(ctx)[f]) == c
+        assert int(chi.coords()[f]) == c
         for lam in enumerate_lambda(chi):
             Z = build_baby_verma(chi, lam)
             l0 = lam.degree_zero[0]

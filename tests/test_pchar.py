@@ -31,7 +31,7 @@ def test_duality_roundtrip():
 def test_dual_of_h_evaluation():
     chi = pchar_from_element(H)
     ctx = get_context(SL2)
-    coords = chi.coords(ctx)
+    coords = chi.coords()
     # χ(h t) = Tr(h^2) = 2; zero elsewhere
     labels = [m.label for m in ctx.meta]
     assert coords[labels.index("h1*t^1")] == 2
@@ -162,7 +162,7 @@ def test_stacked_stabilizer_dims_match_each_character(alg):
     assert got[-1] == alg.dim_gm
     # the values on the basis are κ_m(c, b_j)
     ctx = get_context(alg)
-    assert chis[0].coords(ctx).tolist() == [chis[0](b) for b in ctx.basis]
+    assert chis[0].coords().tolist() == [chis[0](b) for b in ctx.basis]
 
 
 def test_stacked_stabilizer_dims_raise_if_any_member_disagrees(monkeypatch):

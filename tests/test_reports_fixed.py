@@ -7,7 +7,10 @@ They cover the MeatAxe's random path (word draws, kernel order, spins and
 the fresh catalog labels in the semisimple report), the standard-basis
 isomorphism test, Verma intertwiners, heads and chops, and the sampled
 element checks of the structure, index and reduction suites, so a change
-that moves any of them shows up here.
+that moves any of them shows up here.  The cartan, partition and kw points
+pin the weight modules built from solved weights: induced and torus
+projectives, dual and graded Vermas, regular modules, and the sampled
+characters that have no weight over F_p.
 """
 
 from pathlib import Path
@@ -22,7 +25,8 @@ POINTS = [("simples", "gl", 2, 3, 1), ("simples", "sl", 2, 3, 2), ("simples", "g
           ("verma", "sl", 2, 3, 1), ("semisimple", "gl", 2, 2, 1),
           ("structure", "sl", 2, 3, 1), ("structure", "gl", 3, 3, 1),
           ("index", "sl", 2, 3, 1), ("index", "gl", 3, 3, 1),
-          ("reduction", "sl", 2, 3, 1), ("reduction", "gl", 3, 3, 1)]
+          ("reduction", "sl", 2, 3, 1), ("reduction", "gl", 3, 3, 1),
+          ("cartan", "gl", 2, 2, 1), ("partition", "gl", 3, 3, 1), ("kw", "sl", 2, 5, 1)]
 
 
 @pytest.mark.parametrize("seed", [7, 8])
