@@ -251,11 +251,16 @@ def _stack_mult(a: np.ndarray, b: np.ndarray, p: int, m: int) -> np.ndarray:
 
 
 def p_map_coeffs(a: np.ndarray, alg: AlgebraDescriptor) -> np.ndarray:
-    """The p-th power over R_m of coefficient arrays (..., m+1, n, n)."""
-    out = a
-    for _ in range(alg.p - 1):
-        out = _stack_mult(out, a, alg.p, alg.m)
-    return out
+    """The p-th power over R_m of coefficient arrays (..., m+1, n, n), by
+    binary powering: never more products than p - 1, and about 2 log2(p)."""
+    out, e = None, alg.p
+    while True:
+        if e & 1:
+            out = a if out is None else _stack_mult(out, a, alg.p, alg.m)
+        e >>= 1
+        if not e:
+            return out
+        a = _stack_mult(a, a, alg.p, alg.m)
 
 
 def p_map(x: CurrentElement) -> CurrentElement:
@@ -411,6 +416,7 @@ class LieContext:
         self.basis = [CurrentElement._trusted(alg, c) for c in self.basis_coeffs]
         self.dim = len(mats)
         self._select = np.stack(select, axis=1)
+        self._generating: dict = {}  # gens -> generating_slots(gens)
 
     # -- coordinates ------------------------------------------------------
 
@@ -443,6 +449,58 @@ class LieContext:
     def pmap_coords(self) -> np.ndarray:
         """Row i = coordinates of b_i^{[p]}."""
         return self.coords(p_map_coeffs(self.basis_coeffs, self.alg))
+
+    def restricted_closure(self, idx) -> linalg.Echelon:
+        """Coordinate rows spanning the restricted subalgebra generated by
+        the basis elements ``idx``: their span closed under the bracket and
+        the p-map.
+
+        Each round brackets the rows new in the last round with every row
+        found so far and adds their p-th powers.  Since
+        (a x + b y)^{[p]} = a^p x^{[p]} + b^p y^{[p]} plus brackets of x and y
+        (Jacobson's formula), the p-th powers of a spanning set suffice.
+        """
+        D, p = self.dim, self.alg.p
+        ech = linalg.Echelon(D, p)
+        found = np.zeros((0, D), dtype=np.int64)
+        new = ech.add_rows(np.eye(D, dtype=np.int64)[list(idx)])
+        while new.shape[0] and ech.dim < D:
+            found = np.vstack([found, new])
+            pairs = (found[:, None, :, None] * new[None, :, None, :]).reshape(-1, D * D)
+            brackets = linalg.matmul(pairs, self.bracket_coords.reshape(D * D, D), p)
+            powers = self.coords(p_map_coeffs(self.from_coords(new), self.alg))
+            new = ech.add_rows(np.vstack([brackets, powers]))
+        return ech
+
+    def generating_slots(self, gens) -> tuple:
+        """Positions in ``gens`` of basis elements whose restricted closure
+        is span(gens), or every position when that span is not closed under
+        the bracket and the p-map; computed once per ``gens``.
+
+        ``gens`` is scanned in order and each element outside the closure
+        of those kept so far is kept; then one pass drops every kept element
+        that the others still generate.
+        """
+        gens = tuple(gens)
+        hit = self._generating.get(gens)
+        if hit is not None:
+            return hit
+        unit = np.eye(self.dim, dtype=np.int64)
+        kept = list(range(len(gens)))
+        if gens and self.restricted_closure(gens).dim == len(gens):
+            kept, span = [], None
+            for s, g in enumerate(gens):
+                if span is None or not span.contains(unit[g]):
+                    kept.append(s)
+                    span = self.restricted_closure([gens[t] for t in kept])
+            for s in list(kept):
+                rest = [gens[t] for t in kept if t != s]
+                if rest and self.restricted_closure(rest).contains(unit[gens[s]]):
+                    kept.remove(s)
+            if self.restricted_closure([gens[t] for t in kept]).dim != len(gens):
+                raise InternalError("generating set falls short of the span of gens")
+        hit = self._generating[gens] = tuple(kept)
+        return hit
 
     @cached_property
     def centre(self) -> np.ndarray:

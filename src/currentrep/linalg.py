@@ -19,7 +19,16 @@ check and a copy.  The private helpers (``_lift``, ``_times``, ``_rref``,
 ``_rref_naive``, ``_rref_blocked``, ``_rank_stack``, ``Echelon._cancel``)
 trust their input to lie in [0, p) and never reduce it again; ``_times``
 returns exact products unreduced in the float dtype of ``_lift``, and the
-caller in this module reduces each such product once, before it leaves.  A
+caller in this module reduces each such product once, before it leaves.
+Elimination reduces lazily, in the narrowest exact integer dtype
+(``_elim_dtype``): int16 while the lazy bound (rank + 1)(p-1)^2 + p stays
+below 2^15, int32 below 2^31, int64 below 2^63, then int64 reduced at
+every step while (p-1)^2 + p fits, and Python integers past that.  An
+int64 matrix under ``_NARROW_CELLS`` entries is eliminated in place, since
+converting it costs more than the narrow loop saves.  ``rref`` runs the
+column loop ``_rref_naive`` up to ``_NAIVE_CELLS`` entries (the crossover
+measured on square and tall matrices at p = 3 and 5) and the slab-blocked
+``_rref_blocked``, whose slabs take the same narrow dtype, beyond it.  A
 ``modrep.ModuleRep`` holds its actions in one of two forms: the matrices it
 was built from, reduced once where it stores them, or, from the first
 product on, an :class:`ActionStack`, the read-only [A_1^T | ... | A_k^T]
@@ -40,6 +49,8 @@ from .errors import NoSolution
 _F32_CAP = 2 ** 24  # exact integer range of float32
 _F64_CAP = 2 ** 53  # exact integer range of float64
 _SMALL_MOD = 2048   # entries below which asmod takes a plain remainder
+_NARROW_CELLS = 1024  # entries below which an int64 elimination is not narrowed
+_NAIVE_CELLS = 300 * 300  # largest matrix that rref eliminates by the column loop
 
 
 def asmod(a, p: int) -> np.ndarray:
@@ -106,23 +117,47 @@ def matpow(a, k: int, p: int) -> np.ndarray:
     return out
 
 
-def _rref_naive(R: np.ndarray, p: int):
-    """Reduced row echelon form, computed in place in the int64 matrix R,
-    whose entries must lie in [0, p).
+def _elim_dtype(n: int, p: int):
+    """(dtype, lazy) for eliminating a matrix of rank at most n over F_p.
 
-    Returns ``(rows, pivots, where)``: the nonzero rows, their pivot columns
-    and the input row index that each of them came from.  Only the pivot
-    column and the pivot row are reduced at each step; every other entry
-    moves by at most (p-1)^2 per step and is reduced once at the end,
-    unless that could leave the int64 range.
+    Lazily, every entry moves by at most (p-1)^2 per pivot, so its
+    magnitude stays below (n+1)(p-1)^2 + p, and the narrowest of int16,
+    int32 and int64 that holds that bound runs the loop.  Past int64 the loop reduces every
+    entry at each step while (p-1)^2 + p fits, and runs over Python
+    integers beyond that.
+    """
+    bound = (n + 1) * (p - 1) ** 2 + p
+    for bits, dt in ((15, np.int16), (31, np.int32), (63, np.int64)):
+        if bound < 2 ** bits:
+            return dt, True
+    if (p - 1) ** 2 + p < 2 ** 63:
+        return np.int64, False
+    return object, True
+
+
+def _rref_naive(R: np.ndarray, p: int, cap: int | None = None):
+    """Reduced row echelon form of the integer matrix R, whose entries must
+    lie in [0, p); R may be overwritten.
+
+    Returns ``(rows, pivots, where)``: the nonzero rows (int64), their pivot
+    columns and the input row index that each of them came from.  Only the
+    pivot column and the pivot row are reduced at each step; every other
+    entry moves by at most (p-1)^2 per step and is reduced once at the end,
+    in the dtype of :func:`_elim_dtype`; a matrix under _NARROW_CELLS
+    entries keeps its own integer dtype, which callers pass at least as
+    wide.  With ``cap``, the loop stops at that many pivots, which is exact
+    when the rows span at most ``cap`` dimensions.
     """
     rows, cols = R.shape
-    lazy = (min(rows, cols) + 1) * (p - 1) ** 2 < 2 ** 63
+    dt, lazy = _elim_dtype(min(rows, cols), p)
+    if dt is object or (R.dtype != dt and R.size >= _NARROW_CELLS):
+        R = R.astype(dt)
+    stop = rows if cap is None else min(rows, cap)
     where = np.arange(rows)
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        if r == rows:
+        if r == stop:
             break
         col = R[:, c] % p
         nz = col[r:].nonzero()[0]
@@ -142,29 +177,31 @@ def _rref_naive(R: np.ndarray, p: int):
         R[r, c:] = prow
         pivots.append(c)
         r += 1
-    return R[:r] % p, pivots, where[:r]
+    return (R[:r] % p).astype(np.int64, copy=False), pivots, where[:r]
 
 
-def _rref_blocked(R: np.ndarray, p: int, nb: int = 16):
+def _rref_blocked(R: np.ndarray, p: int, nb: int = 16, cap: int | None = None):
     """Blocked Gauss-Jordan: pivots found on a narrow slab, bulk updates via GEMM.
 
     The matrix is held in a float dtype and only the slab and the new pivot
-    rows are reduced mod p.  Each entry takes at most one update per slab,
-    of size at most k (p-1)^2 for k new pivots, so it stays below
-    rank (p-1)^2 + p, which the dtype holds exactly.  Primes too large for
-    float64 take the plain loop.
+    rows are reduced mod p, in the integer dtype of :func:`_elim_dtype`.
+    Each entry takes at most one update per slab, of size at most k (p-1)^2
+    for k new pivots, so it stays below rank (p-1)^2 + p, which both dtypes
+    hold exactly.  Primes too large for float64 take the plain loop.
     """
     rows, cols = R.shape
     dt = _float_dtype(min(rows, cols) + 1, p)
     if dt is None:
-        return _rref_naive(R, p)[:2]
+        return _rref_naive(R, p, cap)[:2]
+    it = _elim_dtype(min(rows, cols), p)[0]
     F = R.astype(dt)
+    stop = rows if cap is None else min(rows, cap)
     pivots: list[int] = []
     r = 0
     c0 = 0
-    while c0 < cols and r < rows:
+    while c0 < cols and r < stop:
         c1 = min(c0 + nb, cols)
-        S = F[:, c0:c1].astype(np.int64) % p
+        S = F[:, c0:c1].astype(it) % p
         _, slab_pivots, worig = _rref_naive(S[r:].copy(), p)
         if slab_pivots:
             k = len(slab_pivots)
@@ -176,7 +213,7 @@ def _rref_blocked(R: np.ndarray, p: int, nb: int = 16):
             # the chosen rows span the slab rows from r on; their reduced
             # echelon form, with identity on the slab pivots, is the new
             # pivot block
-            P = _rref_naive(F[chosen, c0:].astype(np.int64) % p, p)[0].astype(dt)
+            P = _rref_naive(F[chosen, c0:].astype(it) % p, p)[0].astype(dt)
             top = S[:r, slab_pivots].astype(dt)
             bottom = S[rest][:, slab_pivots].astype(dt)
             F[r + k:, c0:] = F[rest, c0:]
@@ -202,13 +239,13 @@ def rref(a, p: int):
     return _rref(R, p)
 
 
-def _rref(R: np.ndarray, p: int):
+def _rref(R: np.ndarray, p: int, cap: int | None = None):
     """:func:`rref` of the int64 matrix R, whose entries must lie in [0, p),
-    computed in place."""
+    computed in place; ``cap`` as in :func:`_rref_naive`."""
     rows, cols = R.shape
-    if rows <= 16 or cols <= 128:
-        return _rref_naive(R, p)[:2]
-    return _rref_blocked(R, p)
+    if rows <= 16 or cols <= 128 or rows * cols <= _NAIVE_CELLS:
+        return _rref_naive(R, p, cap)[:2]
+    return _rref_blocked(R, p, cap=cap)
 
 
 def rank(a, p: int):
@@ -242,10 +279,13 @@ def _rank_stack(R: np.ndarray, p: int) -> np.ndarray:
     is nonzero there and clears that column from its other unused rows; a
     matrix with no such row takes a zero update.  No rows move.  As in
     :func:`_rref_naive`, only the pivot column and the pivot rows are
-    reduced at each step, unless the lazy updates could leave int64.
+    reduced at each step, unless the lazy updates could leave int64, and
+    the stack stays int64 unless its products need Python integers.
     """
     B, rows, cols = R.shape
-    lazy = (min(rows, cols) + 1) * (p - 1) ** 2 < 2 ** 63
+    dt, lazy = _elim_dtype(min(rows, cols), p)
+    if dt is object:
+        R = R.astype(object)
     batch = np.arange(B)
     used = np.zeros((B, rows), dtype=bool)
     for c in range(cols):
@@ -389,8 +429,9 @@ class Echelon:
         w = asmod(w, p)
         w = self._cancel(w.reshape(1, -1) if w.ndim == 1 else w)
         # rows inside the span leave zero residuals; the reduced echelon form
-        # of the rest is the same
-        R, piv = _rref(w[w.any(axis=1)], p)
+        # of the rest is the same.  The residuals vanish on the pivot
+        # columns, so they span at most n - dim dimensions
+        R, piv = _rref(w[w.any(axis=1)], p, self.n - self.dim)
         if not piv:
             return np.zeros((0, self.n), dtype=np.int64)
         if self.dim:
@@ -433,10 +474,12 @@ class ActionStack:
     products with the actions are methods, each one product against the
     stack, reduced once.  The actions must have entries in [0, p).  They
     come as a sequence of d × d matrices or as a (k, d, d) array, which
-    states d also when there are no actions.
+    states d also when there are no actions.  ``slots`` lists actions such
+    that a subspace stable under them is stable under every action (all of
+    them unless given); the stacks derived from this one keep them.
     """
 
-    def __init__(self, actions, p: int):
+    def __init__(self, actions, p: int, slots=None):
         k = len(actions)
         d = actions.shape[-1] if isinstance(actions, np.ndarray) else np.shape(actions[0])[0]
         lifted = np.empty((k, d, d), dtype=_float_dtype(max(d, k), p) or np.int64)
@@ -447,6 +490,8 @@ class ActionStack:
         self.p = p
         self.k = k
         self.d = d
+        self.slots = tuple(range(k)) if slots is None else tuple(slots)
+        self._slot_lifted = lifted if len(self.slots) == k else lifted[list(self.slots)]
 
     def __len__(self) -> int:
         return self.k
@@ -469,6 +514,11 @@ class ActionStack:
         action, as rows, generator by generator."""
         return self._product(rows, self.lifted)
 
+    def slot_images(self, rows) -> np.ndarray:
+        """(len(slots), r, d): the images of the rows under the actions of
+        ``slots``, as rows, slot by slot."""
+        return self._product(rows, self._slot_lifted)
+
     def image(self, rows, i: int) -> np.ndarray:
         """(r, d): the images A_i v of the rows v of ``rows``, as rows."""
         return self._product(rows, self.lifted[i])
@@ -490,5 +540,5 @@ class ActionStack:
         return asmod(out.reshape(*c.shape[:-1], d, d).swapaxes(-1, -2), p)
 
     def transposed(self) -> "ActionStack":
-        """The stack of A_1^T, ..., A_k^T."""
-        return ActionStack(self.lifted, self.p)
+        """The stack of A_1^T, ..., A_k^T, with the same slots."""
+        return ActionStack(self.lifted, self.p, self.slots)

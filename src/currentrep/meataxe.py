@@ -1,7 +1,13 @@
 """MeatAxe-style decomposition engine for exact module arithmetic.
 
 Submodules are subspaces spanned by echelonised row bases; spinning closes a
-seed set under the generator actions in batched BLAS steps.  Irreducibility
+seed set under the generator actions in batched BLAS steps.  It takes only
+the slots of the action stack, a restricted generating set of span(gens):
+a subspace stable under ρ(x) and ρ(y) is stable under ρ([x, y]) and, on a
+U_χ-module, under ρ(x^{[p]}) = ρ(x)^p - χ(x)^p (Strade & Farnsteiner,
+Modular Lie Algebras and Their Representations, 1988, ch. 5).  The random
+words and the standard-basis schedules, whose draws and order the reports
+depend on, keep every generator.  Irreducibility
 uses random algebra words w and irreducible polynomials f with
 nullity(f(w)) = deg f: the shifts x - c (Holt & Rees), and the quadratics
 that keep the test working when the endomorphism field is F_{p^2} and no
@@ -41,16 +47,22 @@ SWEEP_ROWS = 64        # basis rows whose images _standard_basis takes in one pr
 def spin(stack: linalg.ActionStack, seeds, p: int) -> linalg.Echelon:
     """Smallest invariant subspace containing the seed row vectors.
 
-    Each step takes the images of the whole frontier under every generator
-    with one product against the stack.
+    Each step takes the images of the whole frontier under the generators
+    of ``stack.slots`` with one product against the stack.  A subspace
+    stable under ρ(x) and ρ(y) is stable under ρ([x, y]) = [ρ(x), ρ(y)],
+    and on a U_χ-module under ρ(x^{[p]}) = ρ(x)^p - χ(x)^p (Strade &
+    Farnsteiner, Modular Lie Algebras and Their Representations, 1988,
+    ch. 5), so closing under a restricted generating set of span(gens)
+    closes under every generator.  The result is the reduced echelon basis
+    of that subspace, the same whichever generators drove the closure.
     """
     seeds = np.asarray(seeds, dtype=np.int64)
     d = seeds.shape[-1]
     ech = linalg.Echelon(d, p)
     frontier = ech.add_rows(seeds.reshape(-1, d))
     while frontier.shape[0] and ech.dim < d:
-        # generator-major rows (the images under A_1, then A_2, ...)
-        frontier = ech.add_rows(stack.images(frontier).reshape(-1, d))
+        # slot-major rows (the images under the first slot, then the next, ...)
+        frontier = ech.add_rows(stack.slot_images(frontier).reshape(-1, d))
     return ech
 
 
@@ -60,7 +72,8 @@ def restrict_actions(stack: linalg.ActionStack, ech: linalg.Echelon,
     # row r of the coordinates of the images under A is column r of the
     # restricted action
     acts = [ech.coords(img).T for img in stack.images(ech.rows)]
-    return linalg.ActionStack(acts or np.zeros((0, ech.dim, ech.dim), dtype=np.int64), p)
+    return linalg.ActionStack(acts or np.zeros((0, ech.dim, ech.dim), dtype=np.int64), p,
+                              stack.slots)
 
 
 def quotient_actions(stack: linalg.ActionStack, ech: linalg.Echelon, p: int):
@@ -73,7 +86,7 @@ def quotient_actions(stack: linalg.ActionStack, ech: linalg.Echelon, p: int):
     # reduced modulo the span, as rows
     acts = [ech.residual(c)[:, npiv].T for c in stack.columns(npiv)]
     return linalg.ActionStack(acts or np.zeros((0, len(npiv), len(npiv)), dtype=np.int64),
-                              p), npiv
+                              p, stack.slots), npiv
 
 
 def submodule_rep(M: ModuleRep, ech: linalg.Echelon) -> ModuleRep:
@@ -353,9 +366,15 @@ def _standard_basis(stack: linalg.ActionStack, v, p, schedule=None):
 
 def _intertwines(theta, stackM: linalg.ActionStack, stackN: linalg.ActionStack, p) -> bool:
     """θ ρ_M(g) = ρ_N(g) θ for every generator g, one generator at a time:
-    θ A_i against B_i θ, the images of the columns of θ under B_i."""
+    θ A_i against B_i θ, the images of the columns of θ under B_i.
+
+    When both stacks carry the same slots only those are checked: the
+    elements that θ intertwines form a restricted subalgebra (the modules
+    share χ), so a generating set of span(gens) decides it.
+    """
+    slots = stackM.slots if stackM.slots == stackN.slots else range(stackM.k)
     return all(np.array_equal(stackM.premultiplied(theta, i), stackN.image(theta.T, i).T)
-               for i in range(stackM.k))
+               for i in slots)
 
 
 def _match_standard_basis(sbM, schedule, seeds, stackM, stackN, p):

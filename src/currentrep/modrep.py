@@ -190,11 +190,14 @@ class ModuleRep:
     @property
     def stack(self) -> linalg.ActionStack:
         """The actions lifted once into a read-only stack, which from then
-        on is the only copy the module holds."""
+        on is the only copy the module holds.  Its slots are those of
+        ``LieContext.generating_slots``: a subspace stable under them is a
+        submodule."""
         if not isinstance(self._actions, linalg.ActionStack):
             # a module over no generators states its dimension by an empty stack
             actions = self._actions or np.zeros((0, self.dim, self.dim), dtype=np.int64)
-            self._actions = linalg.ActionStack(actions, self.alg.p)
+            slots = get_context(self.alg).generating_slots(self.gens)
+            self._actions = linalg.ActionStack(actions, self.alg.p, slots)
         return self._actions
 
     def action_of_coords(self, coords) -> np.ndarray:

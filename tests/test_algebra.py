@@ -405,3 +405,56 @@ def test_inverse_roundtrip(drawn):
         one = np.zeros_like(a)
         one[0] = np.eye(n, dtype=np.int64)
         assert np.array_equal(_stack_mult(a, invert_over_ring(a, p, m), p, m), one)
+
+
+# every algebra of the acceptance grids and of the benchmark workloads, with
+# the truncations that the suites build
+GRID_ALGEBRAS = sorted({(kind, n, p, k) for kind, n, p, m in [
+    ("sl", 2, 3, 4), ("sl", 2, 5, 2), ("gl", 2, 5, 2), ("gl", 2, 3, 3), ("gl", 2, 2, 1),
+    ("gl", 3, 2, 1), ("gl", 3, 3, 1), ("gl", 3, 5, 1), ("sl", 3, 2, 1)]
+    for k in range(m + 1)})
+
+
+@pytest.mark.parametrize("kind,n,p,m", GRID_ALGEBRAS)
+def test_generating_slots_close_to_the_span_of_gens(kind, n, p, m):
+    ctx = get_context(AlgebraDescriptor(kind, n, p, m))
+    deg0_torus = [i for i in ctx.torus_indices if ctx.meta[i].degree == 0]
+    unit = np.eye(ctx.dim, dtype=np.int64)
+    # the whole algebra, the Borel bases of Vermas and dual Vermas, the
+    # torus and its degree-0 part
+    for gens in (tuple(range(ctx.dim)), tuple(ctx.torus_indices + ctx.nplus_indices),
+                 tuple(ctx.torus_indices + ctx.nminus_indices), tuple(ctx.torus_indices),
+                 tuple(deg0_torus)):
+        slots = ctx.generating_slots(gens)
+        assert ctx.generating_slots(gens) is slots
+        closure = ctx.restricted_closure([gens[s] for s in slots])
+        assert closure.dim == len(gens) and all(closure.contains(unit[g]) for g in gens)
+        if gens == tuple(range(ctx.dim)) and m >= 1:
+            assert len(slots) < len(gens)
+
+
+def test_generating_slots_of_the_workload_algebras():
+    for desc, want in [(("gl", 2, 3, 3), 5), (("sl", 2, 3, 4), 3), (("gl", 2, 5, 2), 5),
+                       (("gl", 3, 3, 1), 6), (("sl", 3, 2, 1), 5), (("sl", 2, 3, 1), 3)]:
+        ctx = get_context(AlgebraDescriptor(*desc))
+        assert len(ctx.generating_slots(range(ctx.dim))) == want
+    # sl2 m1 from f, e and f t: h = [e, f], then the degree-1 part
+    ctx = get_context(SL2)
+    assert [ctx.meta[i].label for i in ctx.generating_slots(range(ctx.dim))] == [
+        "f[12]", "e[12]", "f[12]*t^1"]
+    # span(f, e) lacks h = [e, f], so every slot stays
+    f, e = ctx.nminus_indices[0], ctx.nplus_indices[0]
+    assert ctx.generating_slots((f, e)) == (0, 1)
+    assert ctx.generating_slots(()) == ()
+
+
+def test_p_map_at_a_large_prime():
+    # binary powering: x^p for p = 2^31 - 1 without p - 1 products
+    alg = AlgebraDescriptor("sl", 2, 2 ** 31 - 1, 1)
+    p = alg.p
+    h = elem([[1, 0], [0, -1]], 0, alg)
+    e = elem([[0, 1], [0, 0]], 0, alg)
+    assert p_map(h) == h and p_map(e).is_zero()
+    x = elem([[3, 5], [7, -3]], 0, alg)
+    # x^2 = 44 I, so x^p = 44^((p-1)/2) x
+    assert p_map(x) == x.scale(pow(44, (p - 1) // 2, p))

@@ -49,6 +49,10 @@ def test_rref_blocked_matches_naive(seed, shape):
     R2, p2 = linalg._rref_blocked(A.copy(), p, nb=7)
     assert p1 == p2
     assert np.array_equal(R1, R2)
+    # stopping at the rank gives the same rows
+    for R3, p3 in (linalg._rref_naive(A.copy(), p, cap=len(p1))[:2],
+                   linalg._rref_blocked(A.copy(), p, nb=7, cap=len(p1))):
+        assert p3 == p1 and np.array_equal(R3, R1)
 
 
 @given(st.integers(0, 10 ** 6))
@@ -109,12 +113,22 @@ def _textbook_rref(A, p):
     return np.array(R[:r], dtype=np.int64).reshape(r, cols), pivots
 
 
-@pytest.mark.parametrize("rows,cols,p", [(20, 140, 3), (40, 150, 5), (30, 130, 131),
+# the dtype of the column loop at the boundaries of int16 and int32
+LOOP_DTYPES = {(226, 226, 13): np.int16, (227, 227, 13): np.int32, (40, 60, 127): np.int32}
+
+
+@pytest.mark.parametrize("rows,cols,p", [(20, 4600, 3), (40, 2300, 5), (30, 3100, 131),
+                                         (20, 4600, 10000019),
+                                         (20, 140, 3), (40, 150, 5), (30, 130, 131),
                                          (20, 140, 10000019), (9, 12, 10000019),
-                                         (9, 12, 2 ** 31 - 1)])
+                                         (9, 12, 2 ** 31 - 1), *LOOP_DTYPES])
 def test_rref_matches_textbook_elimination(rows, cols, p):
-    # the first four shapes take the blocked path, the last two the plain
-    # loop: reducing lazily at p = 10000019, every step at p = 2^31 - 1
+    # the first four shapes are past the crossover (_NAIVE_CELLS) and take
+    # the blocked path; the others take the column loop, narrowed to int16
+    # or int32 from 1024 entries on, and the two smallest stay int64,
+    # reducing lazily at p = 10000019 and at every step at p = 2^31 - 1
+    if (rows, cols, p) in LOOP_DTYPES:
+        assert linalg._elim_dtype(min(rows, cols), p) == (LOOP_DTYPES[rows, cols, p], True)
     rng = np.random.default_rng(rows + cols)
     A = rng.integers(0, p, (rows, cols))
     A[:, 3] = A[:, 1]
@@ -122,7 +136,7 @@ def test_rref_matches_textbook_elimination(rows, cols, p):
     R0, p0 = _textbook_rref(A, p)
     R1, p1 = linalg.rref(A, p)
     assert p1 == p0
-    assert np.array_equal(R1, R0)
+    assert R1.dtype == np.int64 and np.array_equal(R1, R0)
 
 
 def _py_mul(a, b, p):
@@ -296,3 +310,28 @@ def test_action_stack_over_no_generators_keeps_its_dimension():
     assert stack.k == len(stack) == 0 and stack.d == 4
     assert stack.images(np.eye(4, dtype=np.int64)).shape == (0, 4, 4)
     assert stack.transposed().d == 4
+
+
+def test_elimination_past_int64_products_is_exact():
+    # (p - 1)^2 >= 2^63: the loops run over Python integers
+    p = 4294967291
+    assert linalg._elim_dtype(1, p) == (object, True)
+    rng = np.random.default_rng(11)
+    for shape in ((6, 6), (5, 5), (4, 7)):
+        A = rng.integers(0, p, shape)
+        R0, p0 = _textbook_rref(A, p)
+        R1, p1 = linalg.rref(A, p)
+        assert p1 == p0 and np.array_equal(R1, R0)
+        K = linalg.kernel(A, p)
+        assert K.shape[0] == shape[1] - len(p0) and not _py_mul(A, K.T, p).any()
+        x = rng.integers(0, p, shape[1])
+        b = _py_mul(A, x.reshape(-1, 1), p).ravel()
+        assert np.array_equal(_py_mul(A, linalg.solve(A, b, p).reshape(-1, 1), p).ravel(), b)
+        if shape[0] == shape[1]:
+            assert np.array_equal(_py_mul(A, linalg.inv(A, p), p), np.eye(shape[0], dtype=np.int64))
+    A = rng.integers(0, p, (6, 6))
+    B = A.copy()
+    B[:, 5] = (B[:, 0] + B[:, 1]) % p
+    assert linalg.rank(np.stack([A, B, 0 * A]), p).tolist() == [
+        len(_textbook_rref(M, p)[1]) for M in (A, B)] + [0]
+

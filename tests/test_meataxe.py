@@ -570,3 +570,37 @@ def test_a_module_over_no_generators_is_decomposed():
     # with no action to keep a subspace out, every line is a submodule
     series = chop(ModuleRep(SL2, PChar.zero(SL2), (), [], dim=3), seed=0)
     assert [m for _s, m in series.factors] == [3] and list(series.dims.values()) == [1]
+
+
+def _adjoint_module(alg):
+    """g_m acting on itself by ad, a U_0-module."""
+    ctx = get_context(alg)
+    return ModuleRep(alg, PChar.zero(alg), range(ctx.dim), list(ctx.ad_matrix(ctx.basis_coeffs)))
+
+
+@pytest.mark.parametrize("p", [3, 2 ** 31 - 1])
+def test_spin_under_the_generating_slots_matches_every_generator(p):
+    modules = [_adjoint_module(AlgebraDescriptor("sl", 2, p, 2)),
+               _adjoint_module(AlgebraDescriptor("gl", 2, p, 1))]
+    if p == 3:
+        chi = PChar.zero(SL2)
+        modules += [build_baby_verma(chi, lam) for lam in enumerate_lambda(chi)]
+        modules.append(build_dual_verma(enumerate_lambda(chi)[1], SL2))
+        gl = AlgebraDescriptor("gl", 2, 3, 1)
+        modules.append(build_baby_verma(PChar.zero(gl), enumerate_lambda(PChar.zero(gl))[4]))
+    rng = np.random.default_rng(p)
+    for M in modules:
+        stack = M.stack
+        assert len(stack.slots) < stack.k
+        seeds = list(np.eye(M.dim, dtype=np.int64)) + list(rng.integers(0, 2, (4, M.dim)))
+        for st in (stack, stack.transposed()):
+            every = linalg.ActionStack(list(st), p)
+            assert every.slots == tuple(range(st.k))
+            for v in seeds:
+                a, b = spin(st, v, p), spin(every, v, p)
+                assert a.pivots == b.pivots and np.array_equal(a.rows, b.rows)
+        # the stacks derived from a module keep its slots
+        sub = spin(stack, seeds[-1], p)
+        assert stack.transposed().slots == stack.slots
+        assert restrict_actions(stack, sub, p).slots == stack.slots
+        assert quotient_actions(stack, sub, p)[0].slots == stack.slots
