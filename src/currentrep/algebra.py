@@ -22,6 +22,10 @@ Each quantity has one formula, on coefficient arrays of shape
 element, and a sampled check calls them once on the stack of all its
 samples.  ``LieContext.coords``, ``from_coords`` and ``ad_matrix`` take
 stacks as well.
+
+The semisimple part of an element lies in the p-closure of the element, so
+one p-power orbit x, x^{[p]}, x^{[p]^2}, ... gives both its Jordan
+decomposition and its class (``jordan_decompose``, ``classify_element``).
 """
 
 from __future__ import annotations
@@ -574,91 +578,7 @@ def get_context(alg: AlgebraDescriptor) -> LieContext:
 
 
 # ---------------------------------------------------------------------------
-# F_p[x] helpers (for minimal polynomials and Jordan decomposition)
-
-
-def _poly_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _poly_trim(out)
-
-
-def poly_divmod(a, b, p):
-    a = list(a)
-    b = _poly_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(b[-1], p - 2, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(_poly_trim(a)) >= len(b):
-        a = _poly_trim(a)
-        shift = len(a) - len(b)
-        coef = a[-1] * inv_lead % p
-        q[shift] = coef
-        for i, y in enumerate(b):
-            a[shift + i] = (a[shift + i] - coef * y) % p
-    return _poly_trim(q), _poly_trim(a)
-
-
-def poly_gcd(a, b, p):
-    a, b = _poly_trim(a), _poly_trim(b)
-    while b:
-        _, r = poly_divmod(a, b, p)
-        a, b = b, r
-    if a:
-        inv_lead = pow(a[-1], p - 2, p)
-        a = [c * inv_lead % p for c in a]
-    return a
-
-
-def poly_deriv(a, p):
-    return _poly_trim([(i * c) % p for i, c in enumerate(a)][1:])
-
-
-def squarefree_part(a, p):
-    """Radical of a polynomial over F_p (product of distinct irreducible
-    factors).  Handles vanishing derivatives: a(x) = b(x^p) equals b(x)^p
-    coefficientwise over the prime field."""
-    a = _poly_trim(a)
-    if len(a) <= 2:
-        return a
-    d = poly_deriv(a, p)
-    if not d:
-        b = [a[i] for i in range(0, len(a), p)]
-        return squarefree_part(b, p)
-    g = poly_gcd(a, d, p)
-    if len(g) <= 1:
-        return a
-    q, rem = poly_divmod(a, g, p)
-    if rem:
-        raise InternalError("gcd with the derivative does not divide the polynomial")
-    r = squarefree_part(g, p)
-    gcd_qr = poly_gcd(q, r, p)
-    lcm, rem2 = poly_divmod(poly_mul(q, r, p), gcd_qr, p)
-    if rem2:
-        raise InternalError("gcd does not divide the product")
-    return lcm
-
-
-# ---------------------------------------------------------------------------
 # Classification and Jordan decomposition
-
-
-def flatten_regular(x: CurrentElement) -> np.ndarray:
-    """Matrix of x acting on R_m^n = F_p^{n(m+1)}, basis e_i t^d (d major):
-    block (k, j) is the t^{k-j}-coefficient of x."""
-    N = x.alg.n * (x.alg.m + 1)
-    return np.einsum("kij,iab->kajb", _degree_pairs(x.alg.m), x.coeffs).reshape(N, N)
 
 
 def nilpotency_bound(alg: AlgebraDescriptor) -> int:
@@ -682,56 +602,45 @@ def is_nilpotent(x: CurrentElement) -> bool:
     return bool(is_nilpotent_coeffs(x.coeffs, x.alg))
 
 
-def _p_power_iterates(x: CurrentElement, cap: int = 256):
-    """Distinct iterates x^{[p]}, x^{[p]^2}, ... up to the first repetition."""
-    seen = {}
-    out = []
-    y = p_map(x)
+def _p_power_orbit(x: CurrentElement, cap: int = 256):
+    """(orbit, start): the iterates x, x^{[p]}, x^{[p]^2}, ... up to the
+    first repeat, and the index in ``orbit`` where their cycle starts."""
+    orbit = {}
     for _ in range(cap):
-        key = y.coeffs.tobytes()
-        if key in seen:
-            return out
-        seen[key] = True
-        out.append(y)
-        y = p_map(y)
+        key = x.coeffs.tobytes()
+        if key in orbit:
+            return list(orbit.values()), list(orbit).index(key)
+        orbit[key] = x
+        x = p_map(x)
     raise InternalError(f"p-power iterates did not repeat within {cap} steps")
 
 
-def classify_element(x: CurrentElement) -> str:
-    """'nilpotent', 'semisimple' or 'mixed'.
+def jordan_decompose(x: CurrentElement):
+    """Unique decomposition x = s + n, s semisimple, n nilpotent, [s, n] = 0,
+    read off the p-power orbit of x.
 
-    Nilpotency by bounded p-power iteration; semisimplicity by membership of
-    x in the span of its iterated p-powers (the iterates are finite in
-    number, detected by cycling).
+    As an operator on R_m^n = F_p^{n(m+1)}, x = S + N with S semisimple, N
+    nilpotent and SN = NS, so x^{p^k} = S^{p^k} + N^{p^k}, and N^{p^k} = 0
+    once p^k >= n(m+1).  The operator is block-triangular with x_0 on the
+    diagonal, so the eigenvalues of S are those of x_0, each of some degree
+    d <= n over F_p, and S^{p^L} = S whenever every such d divides L.  The
+    sequence S^{p^k} is therefore purely periodic, and from its first
+    repeat on the orbit is that cycle: orbit[i] = S^{p^i} for every i past
+    the cycle start, and orbit[i] = S when the cycle length divides i.  So s
+    is the orbit member at the least multiple of the cycle length that is
+    not before the start (x itself when x lies on its own cycle).  Being a
+    p-th power of x, s lies in the algebra.
     """
-    if is_nilpotent(x):
-        return "nilpotent"
-    ctx = get_context(x.alg)
-    iters = _p_power_iterates(x)
-    span = np.stack([ctx.coords(y) for y in iters])
-    aug = np.vstack([span, ctx.coords(x)])
-    if linalg.rank(aug, x.alg.p) == linalg.rank(span, x.alg.p):
-        return "semisimple"
-    return "mixed"
+    orbit, start = _p_power_orbit(x)
+    length = len(orbit) - start
+    s = orbit[-(-start // length) * length]
+    return s, x - s
 
 
-def minimal_polynomial(X: np.ndarray, p: int) -> list:
-    """Minimal polynomial of a square F_p matrix, ascending coefficients."""
-    N = X.shape[0]
-    ech = linalg.Echelon(N * N, p)
-    powers = [np.eye(N, dtype=np.int64)]
-    ech.add_rows(powers[0].ravel())
-    while True:
-        nxt = linalg.matmul(powers[-1], X, p)
-        if ech.contains(nxt.ravel()):
-            break
-        ech.add_rows(nxt.ravel())
-        powers.append(nxt)
-    stack = np.stack([q.ravel() for q in powers])
-    sol = linalg.solve(stack.T, nxt.ravel(), p)
-    # X^k = sum sol[i] X^i  ->  minpoly = x^k - sum sol[i] x^i
-    poly = [(-int(c)) % p for c in sol] + [1]
-    return _poly_trim(poly)
+def classify_element(x: CurrentElement) -> str:
+    """'nilpotent' (x_s = 0), 'semisimple' (x_s = x) or 'mixed'."""
+    s, _ = jordan_decompose(x)
+    return "nilpotent" if s.is_zero() else "semisimple" if s == x else "mixed"
 
 
 def invert_over_ring(a_coeffs: np.ndarray, p: int, m: int) -> np.ndarray:
@@ -748,46 +657,6 @@ def invert_over_ring(a_coeffs: np.ndarray, p: int, m: int) -> np.ndarray:
         term = _stack_mult((-term) % p, tail, p, m)
         acc = (acc + term) % p
     return _stack_mult(acc, b0, p, m)
-
-
-def _eval_poly_stack(poly, a: np.ndarray, p: int, m: int) -> np.ndarray:
-    """Evaluate an F_p[x]-polynomial at a coefficient stack via Horner."""
-    out = np.zeros_like(a)
-    eye = np.eye(a.shape[1], dtype=np.int64)
-    for c in reversed(poly):
-        out = _stack_mult(out, a, p, m)
-        out[0] = (out[0] + c * eye) % p
-    return out
-
-
-def jordan_decompose(x: CurrentElement):
-    """Unique decomposition x = s + n, s semisimple, n nilpotent, [s, n] = 0.
-
-    Newton iteration against the squarefree part of the minimal polynomial of
-    the flattened F_p-matrix of x; all steps stay inside F_p[x].  The
-    intermediate iterates may have nonzero trace, so the iteration runs on
-    raw coefficient stacks; the converged part lands back in the algebra.
-    """
-    alg = x.alg
-    p = alg.p
-    X = flatten_regular(x)
-    mp = minimal_polynomial(X, p)
-    g = squarefree_part(mp, p)
-    gd = poly_deriv(g, p)
-    s = x.coeffs
-    max_iter = nilpotency_bound(alg) + int(np.ceil(np.log2(alg.n * (alg.m + 1) + 1))) + 2
-    for _ in range(max_iter):
-        val = _eval_poly_stack(g, s, p, alg.m)
-        if not np.any(val):
-            break
-        dinv = invert_over_ring(_eval_poly_stack(gd, s, p, alg.m), p, alg.m)
-        corr = _stack_mult(val, dinv, p, alg.m)
-        s = (s - corr) % p
-    else:
-        raise InternalError("Jordan-Chevalley Newton iteration did not converge")
-    s = CurrentElement(alg, s)
-    n = x - s
-    return s, n
 
 
 def centralizer_basis(x: CurrentElement):

@@ -105,16 +105,20 @@ def _times(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def matpow(a, k: int, p: int) -> np.ndarray:
-    """Exact k-th power over F_p (binary powering) of a square matrix, or of
-    each matrix in a stack of them."""
+    """Exact k-th power over F_p of a square matrix, or of each matrix in a
+    stack of them, by binary powering: floor(log2 k) squares and one product
+    per further set bit of k."""
     a = asmod(a, p)
-    out = np.broadcast_to(np.eye(a.shape[-1], dtype=np.int64), a.shape).copy()
-    while k > 0:
+    if k == 0:
+        return np.broadcast_to(np.eye(a.shape[-1], dtype=np.int64), a.shape).copy()
+    out = None
+    while True:
         if k & 1:
-            out = matmul(out, a, p)
-        a = matmul(a, a, p)
+            out = a if out is None else matmul(out, a, p)
         k >>= 1
-    return out
+        if not k:
+            return out
+        a = matmul(a, a, p)
 
 
 def _elim_dtype(n: int, p: int):

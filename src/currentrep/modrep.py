@@ -644,7 +644,8 @@ def check_module_axioms(M: ModuleRep) -> AxiomReport:
 
     A bracket or p-th power that leaves the span of ``M.gens`` is a failure
     of its rule.  The products are taken one generator against a stack of
-    the others, and the p-th powers of all generators at once.
+    the others, and the p-th powers of all generators at once.  The right-hand
+    sides come from a plain stack of the actions read here, not ``M.stack``.
     """
     ctx = get_context(M.alg)
     p = M.alg.p
@@ -652,6 +653,7 @@ def check_module_axioms(M: ModuleRep) -> AxiomReport:
     gens = list(M.gens)
     k = len(gens)
     acts = np.array([M.action(i) for i in range(k)], dtype=np.int64).reshape(k, M.dim, M.dim)
+    stack = linalg.ActionStack(acts, p)
     outside = np.ones(ctx.dim, dtype=bool)
     outside[gens] = False
 
@@ -661,7 +663,7 @@ def check_module_axioms(M: ModuleRep) -> AxiomReport:
         commutators = (linalg.matmul(acts[a], acts[later], p)
                        - linalg.matmul(acts[later], acts[a], p)) % p
         coords = ctx.bracket_coords[gi, [gens[b] for b in later]]
-        for b, lhs, rhs, leaves in zip(later, commutators, M.action_of_coords(coords),
+        for b, lhs, rhs, leaves in zip(later, commutators, stack.combination(coords[:, gens]),
                                        coords[:, outside].any(axis=1)):
             if leaves:
                 bracket_failures.append((gi, gens[b], "bracket leaves the subalgebra"))
@@ -670,7 +672,7 @@ def check_module_axioms(M: ModuleRep) -> AxiomReport:
     power_failures = []
     coords = ctx.pmap_coords[gens]
     # χ(x)^p = χ(x) over F_p
-    rhs = (cc[gens, None, None] * np.eye(M.dim, dtype=np.int64) + M.action_of_coords(coords)) % p
+    rhs = (cc[gens, None, None] * np.eye(M.dim, dtype=np.int64) + stack.combination(coords[:, gens])) % p
     for gi, lhs, r, leaves in zip(gens, linalg.matpow(acts, p, p), rhs,
                                   coords[:, outside].any(axis=1)):
         if leaves:

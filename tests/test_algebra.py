@@ -1,16 +1,19 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from currentrep import linalg
 from currentrep.algebra import (AlgebraDescriptor, CurrentElement,
-                                _p_power_iterates, bracket, bracket_coeffs,
+                                _p_power_orbit, bracket, bracket_coeffs,
                                 centralizer_basis, centralizer_dim,
                                 centralizer_dim_coeffs, classify_element,
-                                flatten_regular, get_context, is_nilpotent,
+                                get_context, is_nilpotent,
                                 is_nilpotent_coeffs, is_regular,
                                 invert_over_ring, jordan_decompose,
-                                kappa_coeffs, kappa_m, minimal_polynomial,
+                                kappa_coeffs, kappa_m,
                                 p_map, p_map_coeffs, random_element,
                                 _stack_mult)
 from currentrep.errors import (AlgebraMismatch, InternalError,
@@ -178,6 +181,74 @@ def test_nilpotency_matches_degree_zero_criterion(alg, seed):
     assert (classify_element(x) == "nilpotent") == is_nilpotent(x0)
 
 
+def flatten_regular(x: CurrentElement) -> np.ndarray:
+    """Matrix of x acting on R_m^n = F_p^{n(m+1)}, basis e_i t^d (d major):
+    block (k, j) is the t^{k-j}-coefficient of x."""
+    n, m = x.alg.n, x.alg.m
+    X = np.zeros((n * (m + 1), n * (m + 1)), dtype=np.int64)
+    for k in range(m + 1):
+        for j in range(k + 1):
+            X[k * n:(k + 1) * n, j * n:(j + 1) * n] = x.coeffs[k - j]
+    return X
+
+
+def _poly_trim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_rem(a, b, p):
+    a, inv = _poly_trim(a), pow(b[-1], p - 2, p)
+    while len(a) >= len(b):
+        c, shift = a[-1] * inv % p, len(a) - len(b)
+        for i, y in enumerate(b):
+            a[shift + i] = (a[shift + i] - c * y) % p
+        a = _poly_trim(a)
+    return a
+
+
+def minimal_polynomial(X, p) -> list:
+    """Minimal polynomial of a square F_p matrix, ascending and monic, over
+    Python integers: the first power of X that the lower ones span."""
+    N = len(X)
+    X = [[int(v) for v in row] for row in X]
+    power = [[int(i == j) for j in range(N)] for i in range(N)]
+    rows = []  # (pivot, reduced X^k as a vector, its combination of powers)
+    for k in range(N * N + 1):
+        v, comb = [c for row in power for c in row], [0] * k + [1]
+        for piv, r, c in rows:
+            f = v[piv]
+            if f:
+                v = [(a - f * b) % p for a, b in zip(v, r)]
+                comb = [(comb[i] - f * (c[i] if i < len(c) else 0)) % p for i in range(k + 1)]
+        piv = next((i for i, a in enumerate(v) if a), None)
+        if piv is None:
+            return comb
+        inv = pow(v[piv], p - 2, p)
+        rows.append((piv, [a * inv % p for a in v], [a * inv % p for a in comb]))
+        power = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*X)] for row in power]
+
+
+def is_squarefree(f, p) -> bool:
+    """gcd(f, f') = 1 over F_p."""
+    a, b = _poly_trim(f), _poly_trim([i * c % p for i, c in enumerate(f)][1:])
+    while b:
+        a, b = b, _poly_rem(a, b, p)
+    return len(a) == 1
+
+
+def test_minimal_polynomial_reference():
+    # the companion matrix of x^3 + x + 1 over F_2, and a 2 x 2 Jordan block
+    C = [[0, 0, 1], [1, 0, 1], [0, 1, 0]]
+    assert minimal_polynomial(C, 2) == [1, 1, 0, 1] and is_squarefree([1, 1, 0, 1], 2)
+    assert minimal_polynomial([[2, 1], [0, 2]], 3) == [1, 2, 1]
+    assert not is_squarefree([1, 2, 1], 3)
+    # x^3 - 1 = (x - 1)^3 over F_3: its derivative vanishes
+    assert not is_squarefree([2, 0, 0, 1], 3)
+
+
 @given(algebras(), st.integers(0, 10 ** 6))
 def test_jordan_properties(alg, seed):
     rng = np.random.default_rng(seed)
@@ -188,13 +259,11 @@ def test_jordan_properties(alg, seed):
     assert is_nilpotent(n)
     if not s.is_zero():
         assert classify_element(s) == "semisimple"
-    # agreement with the flattened matrix decomposition: the flattened parts
-    # of s and n commute and are semisimple/nilpotent as F_p matrices
-    S = flatten_regular(s)
-    mp = minimal_polynomial(S, alg.p)
-    from currentrep.algebra import poly_gcd, poly_deriv
+    # agreement with the flattened matrix decomposition: the flattened s is
+    # semisimple as an F_p matrix, its minimal polynomial squarefree
+    mp = minimal_polynomial(flatten_regular(s), alg.p)
     if len(mp) > 1 and not s.is_zero():
-        assert len(poly_gcd(mp, poly_deriv(mp, alg.p), alg.p)) == 1
+        assert is_squarefree(mp, alg.p)
 
 
 @given(algebras(), st.integers(0, 10 ** 6))
@@ -206,8 +275,8 @@ def test_kappa_symmetric_associative(alg, seed):
 
 
 def test_jordan_across_shapes_seeded():
-    # regression: intermediate Newton iterates may leave sl (nonzero trace);
-    # the decomposition itself must always land back in the algebra
+    # the semisimple part is a p-power iterate of x, so for sl it stays
+    # traceless; the decomposition must always land back in the algebra
     shapes = [("sl", 2, 3), ("sl", 2, 5), ("sl", 3, 2), ("gl", 2, 2), ("gl", 3, 3)]
     rng = np.random.default_rng(987)
     for trial in range(200):
@@ -332,11 +401,54 @@ def test_coords_and_from_coords_take_stacks(alg, seed):
     assert centralizer_dim_coeffs(empty, alg).shape == (0,)
 
 
-def test_p_power_iterates_past_their_cap_raise_internal_error():
-    # h^[p] = h: the iterates repeat at the second step
-    assert _p_power_iterates(H, cap=2) == [H]
+def test_p_power_orbit_past_its_cap_raises_internal_error():
+    # h^[p] = h: the orbit repeats at the second step
+    assert _p_power_orbit(H, cap=2) == ([H], 0)
     with pytest.raises(InternalError, match="did not repeat within 1 steps"):
-        _p_power_iterates(H, cap=1)
+        _p_power_orbit(H, cap=1)
+
+
+def test_jordan_matches_the_pinned_decompositions():
+    # 520 elements over 13 algebras, half of them sparse, with the
+    # semisimple part and class that the minimal-polynomial Newton
+    # iteration gave (tests/data/jordan.json says how they were drawn)
+    data = json.loads((Path(__file__).parent / "data" / "jordan.json").read_text())
+    for kind, n, p, m, x, s, cls in data["cases"]:
+        ctx = get_context(AlgebraDescriptor(kind, n, p, m))
+        x = ctx.from_coords([int(c) for c in x])
+        got, nil = jordan_decompose(x)
+        assert "".join(map(str, ctx.coords(got))) == s
+        assert got + nil == x and classify_element(x) == cls
+
+
+def test_jordan_at_the_edges_of_the_orbit():
+    # e + f t in sl2 p3 m4 is nilpotent of index 10 > 3^2: x^2k = t^k, so
+    # x^[p] = e t + f t^2 and x^[p]^2 = e t^4 is not yet zero
+    alg = AlgebraDescriptor("sl", 2, 3, 4)
+    x = elem([[0, 1], [0, 0]], 0, alg) + elem([[0, 0], [1, 0]], 1, alg)
+    assert p_map(p_map(x)) == elem([[0, 1], [0, 0]], 4, alg)
+    orbit, start = _p_power_orbit(x)
+    assert len(orbit) == 4 and orbit[-1].is_zero() and start == 3
+    s, n = jordan_decompose(x)
+    assert s.is_zero() and n == x and classify_element(x) == "nilpotent"
+    # the companion matrix of x^3 + x + 1 over F_2 generates F_8: its own
+    # Frobenius cycle, of length 3
+    alg = AlgebraDescriptor("gl", 3, 2, 0)
+    c = elem([[0, 0, 1], [1, 0, 1], [0, 1, 0]], 0, alg)
+    orbit, start = _p_power_orbit(c)
+    assert (len(orbit), start) == (3, 0)
+    assert jordan_decompose(c)[0] == c and classify_element(c) == "semisimple"
+    # c + t I in gl2 p3 m1, c the companion matrix of x^2 + 1: the orbit
+    # c + t, -c, c, -c starts its cycle at 1 with length 2, and s = c sits
+    # at index 2, not at the cycle start
+    alg = AlgebraDescriptor("gl", 2, 3, 1)
+    c = elem([[0, 2], [1, 0]], 0, alg)
+    x = c + elem(np.eye(2, dtype=np.int64), 1, alg)
+    orbit, start = _p_power_orbit(x)
+    assert orbit == [x, -c, c] and start == 1
+    s, n = jordan_decompose(x)
+    assert s == c and n == elem(np.eye(2, dtype=np.int64), 1, alg)
+    assert classify_element(x) == "mixed"
 
 
 # ---------------------------------------------------------------------------

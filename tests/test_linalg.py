@@ -335,3 +335,19 @@ def test_elimination_past_int64_products_is_exact():
     assert linalg.rank(np.stack([A, B, 0 * A]), p).tolist() == [
         len(_textbook_rref(M, p)[1]) for M in (A, B)] + [0]
 
+
+@pytest.mark.parametrize("p", [2, 3, 131])
+def test_matpow_matches_repeated_products(p, monkeypatch):
+    rng = np.random.default_rng(p)
+    A = rng.integers(0, p, (4, 6, 6))
+    want = np.broadcast_to(np.eye(6, dtype=np.int64), A.shape).copy()
+    for k in range(9):
+        assert np.array_equal(linalg.matpow(A, k, p), want)
+        assert np.array_equal(linalg.matpow(A[1], k, p), want[1])
+        want = np.array([w @ a % p for w, a in zip(want, A)])
+    # x^3 = x · x^2: one square and one product, none with the identity
+    calls = []
+    matmul = linalg.matmul
+    monkeypatch.setattr(linalg, "matmul", lambda a, b, q: calls.append(1) or matmul(a, b, q))
+    linalg.matpow(A, 3, p)
+    assert len(calls) == 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from currentrep import linalg, modrep
-from currentrep.algebra import AlgebraDescriptor, CurrentElement, get_context
+from currentrep.algebra import AlgebraDescriptor, CurrentElement, LieContext, get_context
 from currentrep.errors import (BadCharacter, BadWeight, NeedsFieldExtension,
                                OutOfScope, TooLarge)
 from currentrep.meataxe import (SimpleCatalog, chop, find_invariant_subspace,
@@ -210,6 +210,24 @@ def test_module_stack_is_the_stored_actions_read_only():
         assert np.array_equal(B, Z.action(i))
     with pytest.raises(ValueError):
         stack.lifted[0, 0, 0] = 1
+
+
+def test_building_asks_no_base_for_its_stack(monkeypatch):
+    # checking a base reads its stored actions: it neither lifts the base's
+    # stack nor computes generating slots, which only spinning reads
+    def refuse(self, gens):
+        raise AssertionError("generating slots computed")
+
+    monkeypatch.setattr(LieContext, "generating_slots", refuse)
+    chi = PChar.zero(SL2)
+    lam = enumerate_lambda(chi)[1]
+    assert build_baby_verma(chi, lam).dim == 9
+    assert build_Zproj(chi, lam).dim == 27
+    assert build_regular_module(PChar.zero(AlgebraDescriptor("sl", 2, 3, 0))).dim == 27
+    ctx = get_context(SL2)
+    base = modrep._weight_line(chi, lam, ctx.torus_indices + ctx.nplus_indices)
+    build_induced(chi, ctx.nminus_indices, base)
+    assert not isinstance(base._actions, linalg.ActionStack)
 
 
 @pytest.mark.parametrize("p", [3, 2 ** 31 - 1])
