@@ -177,7 +177,6 @@ class CartanMatrix:
 
     weights: list
     entries: np.ndarray
-    provenance: str  # 'formula' or 'oracle'
 
     def to_tsv(self) -> str:
         lines = ["\t".join([""] + [str(w) for w in self.weights])]
@@ -196,7 +195,7 @@ def cartan_matrix_formula(alg: AlgebraDescriptor, lc: LConstants,
             out[i, j] = cartan_formula(LambdaWeight.from_degree_zero(w1, alg),
                                        LambdaWeight.from_degree_zero(w2, alg),
                                        alg, lc, z_correction)
-    return CartanMatrix(weights, out, "formula")
+    return CartanMatrix(weights, out)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +248,6 @@ def _eval_on_diagonal(ctx, lam: LambdaWeight, dmat: np.ndarray) -> int:
 class BlockPartition:
     blocks: list            # list of lists of weight tuples
     predicted_remark: int   # p^{(m+1) dim z(g)}
-    z_classes: int          # number of central-character classes p^{dim z(g)}
 
     @property
     def count(self) -> int:
@@ -294,8 +292,7 @@ def blocks(alg: AlgebraDescriptor, seed: int = 0, limit: int = 10 ** 6,
     for w in keys:
         groups.setdefault(find(w), []).append(w)
     blocks_list = sorted(groups.values())
-    return BlockPartition(blocks_list, alg.p ** ((alg.m + 1) * alg.dim_z),
-                          alg.p ** alg.dim_z)
+    return BlockPartition(blocks_list, alg.p ** ((alg.m + 1) * alg.dim_z))
 
 
 # ---------------------------------------------------------------------------

@@ -262,18 +262,10 @@ class CharacterTable:
     """Multiplicity function on weights (h*-tuples or lattice tuples)."""
 
     table: dict
-    kind: str  # 'weight' or 'graded'
 
     @property
     def total(self) -> int:
         return sum(self.table.values())
-
-    def to_json_dict(self):
-        return {"kind": self.kind,
-                "entries": [[list(k), v] for k, v in sorted(self.table.items())]}
-
-    def __eq__(self, other):
-        return isinstance(other, CharacterTable) and self.table == other.table
 
 
 def weight_character(M: ModuleRep) -> CharacterTable:
@@ -305,13 +297,13 @@ def weight_character(M: ModuleRep) -> CharacterTable:
     table = Counter()
     for tag, rows in spaces:
         table[tag] += rows.shape[0]
-    return CharacterTable(dict(table), "weight")
+    return CharacterTable(dict(table))
 
 
 def graded_character(M: ModuleRep) -> CharacterTable:
     if M.grading_tags is None:
         raise NotGraded("module carries no grading tags")
-    return CharacterTable(dict(Counter(M.grading_tags)), "graded")
+    return CharacterTable(dict(Counter(M.grading_tags)))
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +461,6 @@ class SimpleCatalog:
 class CompositionSeries:
     factors: list              # (simpleId, multiplicity), sorted by id
     dims: dict                 # simpleId -> dimension
-    total_dim: int
-    seed: int
     retries: int
 
     def multiplicity(self, sid: str) -> int:
@@ -478,11 +468,6 @@ class CompositionSeries:
             if s == sid:
                 return m
         return 0
-
-    def to_json_dict(self):
-        return {"factors": [{"label": s, "dim": self.dims[s], "mult": m}
-                            for s, m in self.factors],
-                "seed": self.seed, "retries": self.retries}
 
 
 def chop(M: ModuleRep, seed: int = 0,
@@ -521,7 +506,7 @@ def chop(M: ModuleRep, seed: int = 0,
     total = sum(dims[s] * m for s, m in counts.items())
     if total != M.dim:
         raise InternalError(f"composition series dimension mismatch: {total} != {M.dim}")
-    return CompositionSeries(sorted(counts.items()), dims, M.dim, seed, retries)
+    return CompositionSeries(sorted(counts.items()), dims, retries)
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +667,8 @@ def verma_intertwiner(Z: ModuleRep, N: ModuleRep, lam):
 
 
 def _verma_columns(stack: linalg.ActionStack, comp_slots, w, p: int) -> np.ndarray:
-    """Matrix whose column of rank r is ρ(u^a)·w for a = exps_of_rank(r).
+    """Matrix whose column of rank r is ρ(u^a)·w, a the r-th exponent tuple
+    in lexicographic order.
 
     The ranks whose first nonzero exponent is a_j = t form the run
     [t p^(k-1-j), (t+1) p^(k-1-j)), and that run is A_j times the run before

@@ -6,6 +6,14 @@ computed by memoised PBW straightening.  Rewriting uses only the structure
 constants, the p-power expansions and the reduction u^p = u^{[p]} + χ(u)
 (the p-th power of a scalar is itself over F_p).
 
+Each builder is one induction: of a weight line k_λ over n⁻ (baby Verma),
+over n⁺ (dual baby Verma, then dualised), over the higher torus (torus
+projective) or over n⁻ followed by the higher torus (Z_proj, which by
+transitivity of induction is the Borel induction of the torus projective),
+and of the trivial module over everything (regular module).  Basis vectors
+carry optional weight, lattice-grading and torus t-degree tags, and no
+labels.
+
 The complement must be a restricted subalgebra (closed under the bracket and
 the p-map; ``OutOfScope`` otherwise).  Then u_j u^a rewrites to a scalar
 combination of monomials, and b_g u^a for a base generator b_g to
@@ -71,9 +79,6 @@ class LambdaWeight:
         out = np.zeros(ctx.dim, dtype=np.int64)
         out[ctx.torus_indices] = np.ravel(self.values)
         return out
-
-    def label(self) -> str:
-        return "λ=" + ",".join(str(v) for v in self.degree_zero)
 
 
 @functools.lru_cache(maxsize=None)
@@ -167,7 +172,7 @@ class ModuleRep:
     """
 
     def __init__(self, alg, chi, gens, actions, weight_tags=None,
-                 grading_tags=None, tdeg_tags=None, basis_labels=None, dim=0):
+                 grading_tags=None, tdeg_tags=None, dim=0):
         self.alg = alg
         self.chi = chi
         self.gens = tuple(gens)
@@ -180,7 +185,6 @@ class ModuleRep:
         self.weight_tags = weight_tags
         self.grading_tags = grading_tags
         self.tdeg_tags = tdeg_tags
-        self.basis_labels = basis_labels
 
     def action(self, i: int) -> np.ndarray:
         if isinstance(self._actions, linalg.ActionStack):
@@ -236,7 +240,6 @@ class ModuleRep:
             "chi": self.chi.to_json_dict(),
             "dim": self.dim,
             "gens": list(self.gens),
-            "basis_labels": self.basis_labels,
             "actions": [self.action(i).ravel().tolist() for i in range(len(self.gens))],
             "weights": [list(t) for t in self.weight_tags] if self.weight_tags else None,
             "grading": [list(t) for t in self.grading_tags] if self.grading_tags else None,
@@ -249,8 +252,7 @@ class ModuleRep:
         acts = [np.array(enc, dtype=np.int64).reshape(dim, dim) for enc in d["actions"]]
         wt = [tuple(t) for t in d["weights"]] if d.get("weights") else None
         gr = [tuple(t) for t in d["grading"]] if d.get("grading") else None
-        return cls(chi.alg, chi, d["gens"], acts, weight_tags=wt, grading_tags=gr,
-                   basis_labels=d.get("basis_labels"))
+        return cls(chi.alg, chi, d["gens"], acts, weight_tags=wt, grading_tags=gr)
 
 
 class _NormalForms:
@@ -278,7 +280,7 @@ class _NormalForms:
     def _tick(self):
         self.steps += 1
         if self.steps > _STEP_GUARD:
-            raise InternalError("straightening guard exceeded; basis order violated")
+            raise InternalError(f"straightening exceeded its guard of {_STEP_GUARD} steps")
 
     def _bracket(self, g: int, h: int) -> tuple:
         """Nonzero structure constants (z, c) of [b_g, b_h]."""
@@ -412,21 +414,16 @@ def _assemble(table, stack: np.ndarray, nmono: int, p: int) -> np.ndarray:
     return out
 
 
-def exps_of_rank(rank: int, k: int, p: int) -> tuple:
-    out = [0] * k
-    for i in range(k - 1, -1, -1):
-        out[i] = rank % p
-        rank //= p
-    return tuple(out)
-
-
 def build_induced(chi: PChar, comp_indices, base: ModuleRep, limit: int = DEFAULT_LIMIT) -> ModuleRep:
     """U_χ(g') ⊗_{U_χ(q)} base on the monomial basis over the complement.
 
-    ``comp_indices`` (ordered as in the global basis) spans the complement
-    subalgebra; ``base`` is a module with character χ for the inducing
-    subalgebra q spanned by ``base.gens``, and must satisfy the module
-    axioms.  The result is a module for the span of both.
+    ``comp_indices`` spans the complement subalgebra, and its order is the
+    order of the factors of each monomial; it need not be the global order,
+    since straightening a restricted complement ends in any order (each
+    rewrite lowers the number of inversions or the filtration degree).
+    ``base`` is a module with character χ for the inducing subalgebra q
+    spanned by ``base.gens``, and must satisfy the module axioms.  The
+    result is a module for the span of both.
     """
     alg = chi.alg
     ctx = get_context(alg)
@@ -449,9 +446,8 @@ def build_induced(chi: PChar, comp_indices, base: ModuleRep, limit: int = DEFAUL
                      + [base.action(i) for i in range(len(base.gens))])
     gens = sorted(tables)
     actions = [_assemble(tables[g], stack, nmono, p) for g in gens]
-    all_exps = list(itertools.product(range(p), repeat=k))
-    exps = np.array(all_exps, dtype=np.int64).reshape(nmono, k)
-    weight_tags = grading_tags = tdeg_tags = None
+    exps = np.array(list(itertools.product(range(p), repeat=k)), dtype=np.int64).reshape(nmono, k)
+    weight_tags = grading_tags = None
     if base.weight_tags is not None:
         comp_w = np.array([ctx.weight_of(g) for g in comp], dtype=np.int64).reshape(k, alg.rank)
         shifts = exps @ comp_w
@@ -463,18 +459,8 @@ def build_induced(chi: PChar, comp_indices, base: ModuleRep, limit: int = DEFAUL
         shifts = exps @ comp_g
         grading_tags = [ctx.roots.weight_add(bg, shift)
                         for shift in shifts.tolist() for bg in base.grading_tags]
-    if base.tdeg_tags is not None:
-        tdeg_tags = list(base.tdeg_tags) * nmono
-    labels = None
-    if base.basis_labels is not None:
-        labels = []
-        for a in all_exps:
-            mono = " ".join(f"{ctx.meta[g].label}^{ai}" for g, ai in zip(comp, a) if ai) or "1"
-            for bl in base.basis_labels:
-                labels.append(f"{mono} ⊗ {bl}")
     return ModuleRep(alg, chi, gens, actions, weight_tags=weight_tags,
-                     grading_tags=grading_tags, tdeg_tags=tdeg_tags,
-                     basis_labels=labels)
+                     grading_tags=grading_tags)
 
 
 def _weight_line(chi: PChar, lam: LambdaWeight, gens) -> ModuleRep:
@@ -482,8 +468,7 @@ def _weight_line(chi: PChar, lam: LambdaWeight, gens) -> ModuleRep:
     λ, the others by 0."""
     vals = lam.coords(get_context(chi.alg))
     acts = [[[vals[g]]] for g in gens]
-    return ModuleRep(chi.alg, chi, gens, acts, weight_tags=[lam.degree_zero],
-                     basis_labels=["1_" + lam.label()])
+    return ModuleRep(chi.alg, chi, gens, acts, weight_tags=[lam.degree_zero])
 
 
 def build_baby_verma(chi: PChar, lam: LambdaWeight, limit: int = DEFAULT_LIMIT,
@@ -514,40 +499,34 @@ def build_dual_verma(lam: LambdaWeight, alg: AlgebraDescriptor, limit: int = DEF
     return build_induced(chi, ctx.nplus_indices, base, limit).dual()
 
 
+def _torus_filtered(chi: PChar, lam: LambdaWeight, plus, minus, limit: int) -> ModuleRep:
+    """k_λ induced from the degree-0 torus and ``plus`` over ``minus``
+    followed by the higher torus, each basis vector tagged with the
+    t-degree of the torus factors of its monomial."""
+    ctx = get_context(chi.alg)
+    deg0 = [i for i in ctx.torus_indices if ctx.meta[i].degree == 0]
+    higher = [i for i in ctx.torus_indices if ctx.meta[i].degree >= 1]
+    M = build_induced(chi, minus + higher, _weight_line(chi, lam, sorted(deg0 + plus)), limit)
+    degs = [ctx.meta[g].degree for g in higher]
+    exps = itertools.product(range(chi.alg.p), repeat=len(higher))
+    M.tdeg_tags = [sum(a * d for a, d in zip(e, degs)) for e in exps] * chi.alg.p ** len(minus)
+    return M
+
+
 def build_torus_projective(chi: PChar, lam: LambdaWeight) -> ModuleRep:
     """Induction of k_λ from the degree-0 torus to the truncated torus with
     the character χ, dimension p^{m r}; at χ = 0 this is the projective
     cover of k_λ over the truncated torus."""
-    alg = chi.alg
-    ctx = get_context(alg)
-    torus = ctx.torus_indices
-    deg0 = [i for i in torus if ctx.meta[i].degree == 0]
-    higher = [i for i in torus if ctx.meta[i].degree >= 1]
-    M = build_induced(chi, higher, _weight_line(chi, lam, deg0), limit=10 ** 9)
-    # t-degree of each monomial in the h t^i generators
-    degs = [ctx.meta[g].degree for g in higher]
-    M.tdeg_tags = [sum(a * d for a, d in zip(exps_of_rank(t, len(higher), alg.p), degs))
-                   for t in range(alg.p ** len(higher))]
-    return M
+    return _torus_filtered(chi, lam, [], [], limit=10 ** 9)
 
 
 def build_Zproj(chi: PChar, lam: LambdaWeight, limit: int = DEFAULT_LIMIT) -> ModuleRep:
-    """Borel induction of the torus projective cover; carries the torus
-    t-degree filtration tags used to witness its baby-Verma filtration."""
-    alg = chi.alg
-    ctx = get_context(alg)
-    higher = [i for i in ctx.torus_indices if ctx.meta[i].degree >= 1]
-    dim = alg.p ** (len(ctx.nminus_indices) + len(higher))
-    if dim > limit:
-        raise TooLarge(f"module dimension {dim} exceeds limit {limit}")
-    Q = build_torus_projective(chi, lam)
-    # Q with n+ acting by zero
-    zero = np.zeros((Q.dim, Q.dim), dtype=np.int64)
-    gens = sorted(set(Q.gens) | set(ctx.nplus_indices))
-    acts = [Q.action(Q.gens.index(g)) if g in Q.gens else zero for g in gens]
-    base = ModuleRep(alg, chi, gens, acts, weight_tags=Q.weight_tags, tdeg_tags=Q.tdeg_tags,
-                     basis_labels=Q.basis_labels)
-    return build_induced(chi, ctx.nminus_indices, base, limit)
+    """Borel induction of the torus projective cover, as one induction of
+    k_λ from h_0 ⊕ n⁺_m over n⁻_m followed by the higher torus; carries
+    the torus t-degree filtration tags used to witness its baby-Verma
+    filtration."""
+    ctx = get_context(chi.alg)
+    return _torus_filtered(chi, lam, ctx.nplus_indices, ctx.nminus_indices, limit)
 
 
 def inflate(M: ModuleRep, target_m: int) -> ModuleRep:
@@ -580,7 +559,7 @@ def inflate(M: ModuleRep, target_m: int) -> ModuleRep:
     coeffs[shift:] = M.chi.dual.coeffs
     chi_big = PChar(CurrentElement(tgt, coeffs))
     return ModuleRep(tgt, chi_big, gens, actions, weight_tags=M.weight_tags,
-                     grading_tags=M.grading_tags, basis_labels=M.basis_labels)
+                     grading_tags=M.grading_tags)
 
 
 def solve_twist_weight(eta: PChar) -> np.ndarray:
@@ -615,8 +594,7 @@ def twist_module(M: ModuleRep, eta: PChar) -> ModuleRep:
         shift = [int(mu[i]) for i in deg0]
         weight_tags = [tuple((w + s) % p for w, s in zip(tag, shift)) for tag in M.weight_tags]
     return ModuleRep(alg, chi_new, M.gens, actions, weight_tags=weight_tags,
-                     grading_tags=M.grading_tags, tdeg_tags=M.tdeg_tags,
-                     basis_labels=M.basis_labels)
+                     grading_tags=M.grading_tags, tdeg_tags=M.tdeg_tags)
 
 
 def build_regular_module(chi: PChar, limit: int = DEFAULT_LIMIT) -> ModuleRep:

@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -15,7 +16,7 @@ from currentrep.meataxe import (SimpleCatalog, _intertwines, _line_representativ
                                 weight_character)
 from currentrep.modrep import (LambdaWeight, ModuleRep, build_baby_verma,
                                build_dual_verma, build_regular_module,
-                               enumerate_lambda, exps_of_rank, inflate)
+                               enumerate_lambda, inflate)
 from currentrep.pchar import PChar, pchar_from_element
 
 SL2 = AlgebraDescriptor("sl", 2, 3, 1)
@@ -495,8 +496,9 @@ def _verma_columns_one_at_a_time(N, comp, w, p):
     k = len(comp)
     cols = np.zeros((N.dim, p ** k), dtype=np.int64)
     cols[:, 0] = w
-    for r in range(1, p ** k):
-        a = exps_of_rank(r, k, p)
+    for r, a in enumerate(itertools.product(range(p), repeat=k)):
+        if not r:
+            continue
         i = next(t for t, v in enumerate(a) if v)
         prev = r - p ** (k - 1 - i)
         A = N.action(slots[comp[i]])

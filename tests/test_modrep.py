@@ -9,6 +9,7 @@ from currentrep import linalg, modrep
 from currentrep.algebra import AlgebraDescriptor, CurrentElement, LieContext, get_context
 from currentrep.errors import (BadCharacter, BadWeight, NeedsFieldExtension,
                                OutOfScope, TooLarge)
+from currentrep.formulas import _regular_degree0_toral
 from currentrep.meataxe import (SimpleCatalog, chop, find_invariant_subspace,
                                quotient_rep, submodule_rep)
 from currentrep.modrep import (LambdaWeight, ModuleRep, build_baby_verma,
@@ -335,9 +336,15 @@ def test_module_serialization_roundtrip():
     for alg, idx in ((SL2, 1), (AlgebraDescriptor("sl", 2, 11, 0), 5)):
         chi = PChar.zero(alg)
         Z = build_baby_verma(chi, enumerate_lambda(chi)[idx])
-        M = type(Z).from_json_dict(json.loads(json.dumps(Z.to_json_dict())))
+        d = json.loads(json.dumps(Z.to_json_dict()))
+        M = type(Z).from_json_dict(d)
         assert M.dim == Z.dim
         assert all(np.array_equal(M.action(i), Z.action(i)) for i in range(len(Z.gens)))
+        assert M.weight_tags == Z.weight_tags
+        # files written before modules dropped their basis labels still read
+        d["basis_labels"] = [f"v{i}" for i in range(Z.dim)]
+        old = type(Z).from_json_dict(d)
+        assert all(np.array_equal(old.action(i), Z.action(i)) for i in range(len(Z.gens)))
 
 
 def test_large_prime_actions_are_stored_exactly():
@@ -447,7 +454,6 @@ def _same_module(M, N):
     # a built module holds its stored matrices until its stack is read
     return (M.gens == N.gens and M.weight_tags == N.weight_tags
             and M.grading_tags == N.grading_tags and M.tdeg_tags == N.tdeg_tags
-            and M.basis_labels == N.basis_labels
             and all(a.dtype == b.dtype and np.array_equal(a, b)
                     for a, b in zip(M._actions, N._actions)))
 
@@ -487,6 +493,74 @@ def test_normal_form_tables_are_shared_and_read_only(monkeypatch):
             assert all(not x.flags.writeable for x in arrays)
 
 
+def _reference_torus_projective(chi, lam):
+    # induce k_λ from the degree-0 torus over the higher torus, tagging each
+    # monomial with its t-degree
+    ctx = get_context(chi.alg)
+    deg0 = [g for g in ctx.torus_indices if ctx.meta[g].degree == 0]
+    higher = [g for g in ctx.torus_indices if ctx.meta[g].degree >= 1]
+    Q = build_induced(chi, higher, modrep._weight_line(chi, lam, deg0), limit=10 ** 9)
+    degs = [ctx.meta[g].degree for g in higher]
+    Q.tdeg_tags = [sum(a * d for a, d in zip(exps, degs))
+                   for exps in itertools.product(range(chi.alg.p), repeat=len(higher))]
+    return Q
+
+
+def _two_step_zproj(chi, lam):
+    # the torus projective, then a base over the torus and n+ with n+ acting
+    # by zero, induced over n-
+    ctx = get_context(chi.alg)
+    Q = _reference_torus_projective(chi, lam)
+    zero = np.zeros((Q.dim, Q.dim), dtype=np.int64)
+    gens = sorted(set(Q.gens) | set(ctx.nplus_indices))
+    acts = [Q.action(Q.gens.index(g)) if g in Q.gens else zero for g in gens]
+    base = ModuleRep(chi.alg, chi, gens, acts, weight_tags=Q.weight_tags)
+    Z = build_induced(chi, ctx.nminus_indices, base, limit=10 ** 9)
+    Z.tdeg_tags = list(Q.tdeg_tags) * (Z.dim // Q.dim)
+    return Z
+
+
+def _same_action_data(M, N):
+    return (M.gens == N.gens and M.dim == N.dim and M.weight_tags == N.weight_tags
+            and M.grading_tags == N.grading_tags and M.tdeg_tags == N.tdeg_tags
+            and all(np.array_equal(M.action(i), N.action(i)) for i in range(len(M.gens))))
+
+
+_PIN_GRID = [("sl", 2, 3, 1, "zero"), ("sl", 2, 3, 2, "zero"), ("sl", 2, 5, 1, "zero"),
+             ("gl", 2, 3, 1, "zero"), ("gl", 2, 2, 2, "zero"), ("sl", 3, 2, 1, "zero"),
+             ("sl", 2, 3, 1, "toral"), ("sl", 2, 5, 1, "toral"), ("gl", 2, 2, 1, "toral")]
+
+
+@pytest.mark.parametrize("kind,n,p,m,char", _PIN_GRID)
+def test_projective_builders_match_the_two_step_construction(kind, n, p, m, char):
+    # "toral" is the regular degree-0 toral character of the semisimple audit
+    alg = AlgebraDescriptor(kind, n, p, m)
+    chi = PChar.zero(alg) if char == "zero" else pchar_from_element(_regular_degree0_toral(alg))
+    lams = enumerate_lambda(chi)
+    for lam in (lams[0], lams[-1]):
+        assert _same_action_data(build_torus_projective(chi, lam),
+                                 _reference_torus_projective(chi, lam))
+        Zp = build_Zproj(chi, lam)
+        assert Zp.dim <= 256
+        assert _same_action_data(Zp, _two_step_zproj(chi, lam))
+
+
+def test_zproj_is_one_induction(monkeypatch):
+    calls = []
+    induce = modrep.build_induced
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return induce(*args, **kwargs)
+
+    monkeypatch.setattr(modrep, "build_induced", counting)
+    for desc in (("sl", 2, 3, 1), ("gl", 2, 2, 2)):
+        chi = PChar.zero(AlgebraDescriptor(*desc))
+        calls.clear()
+        build_Zproj(chi, enumerate_lambda(chi)[0])
+        assert len(calls) == 1
+
+
 def test_induction_needs_a_restricted_complement():
     # {e, f} is not closed under the bracket: [e, f] = h
     alg = AlgebraDescriptor("sl", 2, 3, 0)
@@ -499,9 +573,10 @@ def test_induction_needs_a_restricted_complement():
 
 def test_zproj_checks_the_limit_before_building(monkeypatch):
     def refuse(*_args, **_kwargs):
-        raise AssertionError("torus projective built past the limit")
+        raise AssertionError("straightened or checked past the limit")
 
-    monkeypatch.setattr(modrep, "build_torus_projective", refuse)
+    monkeypatch.setattr(modrep, "_normal_form_tables", refuse)
+    monkeypatch.setattr(modrep, "check_module_axioms", refuse)
     chi = PChar.zero(SL2)
     with pytest.raises(TooLarge):
         build_Zproj(chi, enumerate_lambda(chi)[0], limit=20)
