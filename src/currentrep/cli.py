@@ -15,7 +15,7 @@ from .errors import CurrentRepError, InvalidDescriptor, TooLarge
 from .meataxe import weight_character
 from .modrep import DEFAULT_LIMIT, ModuleRep, check_module_axioms
 from .pchar import PChar, pchar_from_element, support_degree, pchar_jordan
-from .suites import SUITES, SuiteConfig, effective_limit, run_suite
+from .suites import SUITES, SuiteConfig, run_suite
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,7 +64,7 @@ def cmd_verify(args) -> int:
                           suite=args.suite, seed=args.seed, samples=args.samples,
                           limit=args.limit)
         cfg.descriptor()
-        if cfg.samples < 1 or effective_limit(cfg) < 1:
+        if cfg.samples < 1 or cfg.limit < 1:
             raise InvalidDescriptor("the sample count and the size limit must be at least 1")
     except InvalidDescriptor as ex:
         print(f"usage error: {ex}", file=sys.stderr)
@@ -141,7 +141,7 @@ def cmd_inspect(args) -> int:
                    "power_failures": len(axioms.power_failures)}
             try:
                 out["weight_character"] = {str(k): v for k, v in
-                                           sorted(weight_character(M).table.items())}
+                                           sorted(weight_character(M).items())}
             except CurrentRepError as ex:
                 out["weight_character"] = f"unavailable: {ex}"
             print(json.dumps(out, indent=2))

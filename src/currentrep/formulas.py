@@ -211,12 +211,20 @@ class SimpleClassification:
 
 
 def classify_simples_homogeneous(chi: PChar, seed: int = 0) -> SimpleClassification:
-    """Partition of Λ_χ by restriction to the centre of the Levi of the
-    standard-Levi form of the (degree-reduced) character."""
+    """Partition of Λ_χ by λ|_{z(g_I)}, for χ homogeneous of standard Levi
+    type: reduced to g_k, k its support degree, χ = κ_k(e, ·) with
+    e = Σ_{i∈I} c_i E_{i,i+1} in degree 0 (``standard_levi_form``).
+
+    Needs k ≥ 1: in degree 0 the simples are classified by W_I dot-orbits
+    (Friedlander–Parshall), not by λ|_{z(g_I)}, so k = 0 raises OutOfScope.
+    """
     alg = chi.alg
     k, hom = support_degree(chi)
     if hom is None or chi.is_zero():
         raise OutOfScope("character must be homogeneous and nonzero")
+    if hom == 0:
+        raise OutOfScope("degree-0 characters are classified by W_I dot-orbits, "
+                         "not by the centre of the Levi")
     psi = truncate_pchar(chi, hom) if hom < alg.m else chi
     alg_red = psi.alg
     e = psi.dual

@@ -257,19 +257,9 @@ def is_irreducible(M: ModuleRep, seed: int = 0) -> bool:
 # characters
 
 
-@dataclass
-class CharacterTable:
-    """Multiplicity function on weights (h*-tuples or lattice tuples)."""
-
-    table: dict
-
-    @property
-    def total(self) -> int:
-        return sum(self.table.values())
-
-
-def weight_character(M: ModuleRep) -> CharacterTable:
-    """Dimensions of the simultaneous eigenspaces of the degree-0 torus."""
+def weight_character(M: ModuleRep) -> dict:
+    """Dimensions of the simultaneous eigenspaces of the degree-0 torus,
+    keyed by the tuple of eigenvalues."""
     ctx = get_context(M.alg)
     p = M.alg.p
     slots = {g: i for i, g in enumerate(M.gens)}
@@ -297,13 +287,14 @@ def weight_character(M: ModuleRep) -> CharacterTable:
     table = Counter()
     for tag, rows in spaces:
         table[tag] += rows.shape[0]
-    return CharacterTable(dict(table))
+    return dict(table)
 
 
-def graded_character(M: ModuleRep) -> CharacterTable:
+def graded_character(M: ModuleRep) -> dict:
+    """Multiplicity of each lattice grading tag."""
     if M.grading_tags is None:
         raise NotGraded("module carries no grading tags")
-    return CharacterTable(dict(Counter(M.grading_tags)))
+    return dict(Counter(M.grading_tags))
 
 
 # ---------------------------------------------------------------------------
@@ -549,15 +540,22 @@ def head(M: ModuleRep, seed: int = 0) -> ModuleRep:
 
 
 def hom_space(S: ModuleRep, M: ModuleRep):
-    """Basis of Hom(S, M) as matrices theta with theta ρ_S(g) = ρ_M(g) theta."""
+    """Basis of Hom(S, M) as matrices theta with theta ρ_S(g) = ρ_M(g) theta.
+
+    Only the generators of ``LieContext.generating_slots`` are constrained:
+    the elements that theta intertwines form a restricted subalgebra when
+    the modules share χ, which is therefore required.
+    """
+    if S.chi != M.chi:
+        raise BadCharacter("hom-space solving requires equal characters")
     if S.dim * M.dim > HOM_GUARD:
         raise TooLarge("hom-space solve exceeds the size guard")
     # theta is the (S.dim, M.dim) array of its unknowns, transposed; one
-    # constraint block per generator, built as the joint kernel reads it
+    # constraint block per generating slot, built as the joint kernel reads it
     eyeS = np.eye(S.dim, dtype=np.int64)
     eyeM = np.eye(M.dim, dtype=np.int64)
     blocks = (np.kron(S.action(i).T, eyeM) - np.kron(eyeS, M.action(i))
-              for i in range(len(M.gens)))
+              for i in get_context(M.alg).generating_slots(M.gens))
     return [vec.reshape(S.dim, M.dim).T for vec in linalg.joint_kernel(blocks, M.alg.p)]
 
 

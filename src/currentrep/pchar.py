@@ -4,8 +4,8 @@ A functional χ is always stored via the element c with χ = κ_m(c, ·); the
 Jordan theory, centralisers and support filtrations of χ are then read off
 from c.  Its values on the basis are coords(c) times the Gram matrix, and
 ``stabilizer_dim_coeffs`` takes the stabiliser dimensions of a whole stack
-of duals at once.  Also holds the Jordan-normal-form machinery placing
-degree-zero nilpotents of gl_n in standard Levi position.
+of duals at once.  Also reads the standard Levi g_I off a degree-zero
+nilpotent e = Σ_{i∈I} c_i E_{i,i+1}.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from . import linalg
 from .algebra import (AlgebraDescriptor, CurrentElement, centralizer_dim_coeffs,
                       classify_element, get_context, jordan_decompose, kappa_m)
 from .errors import (InternalError, InvalidDescriptor, NotNilpotent,
-                     UnsupportedTruncation)
+                     OutOfScope, UnsupportedTruncation)
 
 
 class PChar:
@@ -150,13 +150,11 @@ def truncate_pchar(chi: PChar, k: int) -> PChar:
 
 @dataclass
 class LeviData:
-    """Standard-Levi normal form of a degree-zero nilpotent."""
+    """The standard Levi g_I of a nilpotent e = Σ_{i∈I} c_i E_{i,i+1}."""
 
-    partition: tuple
-    conjugator: np.ndarray            # g with g e g^{-1} in Jordan form
-    jordan_form: np.ndarray
+    partition: tuple                  # block sizes, longest first: the Jordan type of e
     simple_subset: tuple              # I as 1-based simple-root indices
-    blocks: tuple                     # index ranges of the Levi blocks
+    blocks: tuple                     # index ranges of the Levi blocks, in position order
     z_levi_basis: list = field(default_factory=list)  # diagonal matrices spanning z(g_I)
 
     @property
@@ -164,71 +162,31 @@ class LeviData:
         return len(self.z_levi_basis)
 
 
-def _nilpotent_jordan_chains(A: np.ndarray, p: int):
-    """Jordan chains [w, Aw, A^2 w, ...] for a nilpotent matrix acting on columns."""
-    n = A.shape[0]
-    powers = [np.eye(n, dtype=np.int64)]
-    while np.any(powers[-1]):
-        powers.append(linalg.matmul(powers[-1], A, p))
-    s = len(powers) - 1  # nilpotency index: A^s = 0
-    kernels = [linalg.kernel(powers[j], p) for j in range(s + 1)]  # K_0 empty
-    chains = []
-    for j in range(s, 0, -1):
-        # covered at height j: K_{j-1} plus the height-j members of longer chains
-        covered = linalg.Echelon(n, p)
-        if kernels[j - 1].shape[0]:
-            covered.add_rows(kernels[j - 1])
-        for chain in chains:
-            covered.add_rows(chain[len(chain) - j].reshape(1, -1))
-        for w in kernels[j]:
-            if not covered.contains(w):
-                chain = [w]
-                for _ in range(j - 1):
-                    chain.append(linalg.matmul(A, chain[-1].reshape(-1, 1), p).ravel())
-                chains.append(chain)
-                covered.add_rows(w.reshape(1, -1))
-    return chains
-
-
 def standard_levi_form(e: CurrentElement) -> LeviData:
-    """Jordan normal form of a degree-zero nilpotent with its conjugator.
+    """Standard Levi data of a degree-zero nilpotent in standard form.
 
-    The Jordan form equals the sum of the simple root vectors of the Levi
-    subalgebra cut out by the block partition.
+    e must be Σ_{i∈I} c_i E_{i,i+1} with every c_i nonzero; I is read off
+    the superdiagonal, and the blocks of g_I are the runs of I.  A torus
+    conjugation scales each c_i to 1 and fixes every weight, so the values
+    of the c_i do not matter.  Raises NotNilpotent for an element that is
+    not a degree-zero nilpotent, and OutOfScope for a nilpotent with a
+    nonzero entry off the superdiagonal.
     """
     alg = e.alg
     if any(d != 0 for d in e.support_degrees()):
         raise NotNilpotent("element must be concentrated in degree 0")
     A = e.graded_piece(0)
-    p, n = alg.p, alg.n
-    if np.any(linalg.matpow(A, n, p)):
+    n = alg.n
+    if np.any(linalg.matpow(A, n, alg.p)):
         raise NotNilpotent("matrix is not nilpotent")
-    chains = _nilpotent_jordan_chains(A, p)
-    chains.sort(key=len, reverse=True)
-    cols = []
-    blocks = []
-    start = 0
-    for chain in chains:
-        k = len(chain)
-        # chain[i] = (A^i w) as column vectors; order A^{k-1}w, ..., Aw, w
-        for v in reversed(chain):
-            cols.append(v)
-        blocks.append((start, start + k))
-        start += k
-    P = np.stack(cols, axis=1) % p
-    g = linalg.inv(P, p)
-    J = linalg.matmul(linalg.matmul(g, A, p), P, p)
-    partition = tuple(len(c) for c in chains)
-    expected = np.zeros((n, n), dtype=np.int64)
-    for a, b in blocks:
-        for i in range(a, b - 1):
-            expected[i, i + 1] = 1
-    if not np.array_equal(J, expected):
-        raise InternalError("conjugation did not reach the block Jordan form")
-    boundaries = set(np.cumsum(partition)[:-1].tolist())
-    simple_subset = tuple(i for i in range(1, n) if i not in boundaries)
-    z_basis = _levi_centre_basis(alg, blocks)
-    return LeviData(partition, g, J, simple_subset, tuple(blocks), z_basis)
+    sup = np.diagonal(A, 1)
+    if np.any(A != np.diag(sup, 1)):
+        raise OutOfScope("nilpotent is not in standard form: entry off the superdiagonal")
+    cuts = [0] + [i for i in range(1, n) if not sup[i - 1]] + [n]
+    blocks = tuple(zip(cuts[:-1], cuts[1:]))
+    partition = tuple(sorted((b - a for a, b in blocks), reverse=True))
+    simple_subset = tuple(i for i in range(1, n) if sup[i - 1])
+    return LeviData(partition, simple_subset, blocks, _levi_centre_basis(alg, blocks))
 
 
 def _levi_centre_basis(alg: AlgebraDescriptor, blocks):

@@ -7,7 +7,6 @@ certified, so a report line is self-contained.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ from .algebra import (AlgebraDescriptor, CurrentElement, bracket,
                       get_context, is_nilpotent, is_nilpotent_coeffs,
                       jordan_decompose, kappa_coeffs, p_map_coeffs,
                       random_element)
-from .errors import InternalError, InvalidDescriptor, TooLarge
+from .errors import InternalError, TooLarge
 from .formulas import (_regular_degree0_toral, blocks, cartan_formula,
                        classify_simples_homogeneous, kostant_table, kw_scan,
                        l_constants, pm_shift_sum, semisimple_character_audit,
@@ -58,20 +57,11 @@ class SuiteConfig:
                 "seed": self.seed, "samples": self.samples, "limit": self.limit}
 
 
-def effective_limit(cfg: SuiteConfig) -> int:
-    env = os.environ.get("CURRENTREP_LIMIT")
-    if not env:
-        return cfg.limit
-    try:
-        return int(env)
-    except ValueError:
-        raise InvalidDescriptor(f"CURRENTREP_LIMIT={env!r} is not an integer")
-
-
-def _regular_nilpotent(alg: AlgebraDescriptor) -> CurrentElement:
+def _standard_nilpotent(alg: AlgebraDescriptor, simple_subset) -> CurrentElement:
+    """e = Σ_{i∈I} E_{i,i+1} in degree 0, for I 1-based simple-root indices."""
     mat = np.zeros((alg.n, alg.n), dtype=np.int64)
-    for i in range(alg.n - 1):
-        mat[i, i + 1] = 1
+    for i in simple_subset:
+        mat[i - 1, i] = 1
     return CurrentElement.from_matrix(alg, mat, 0)
 
 
@@ -269,7 +259,6 @@ def _labelled_catalog(alg: AlgebraDescriptor, seed: int):
 def suite_verma(cfg: SuiteConfig) -> SuiteReport:
     alg = cfg.descriptor()
     rep = SuiteReport("verma", cfg.as_dict())
-    limit = effective_limit(cfg)
     lc, cat, label_by_weight = _labelled_catalog(alg, cfg.seed)
     chi = PChar.zero(alg)
     lams = enumerate_lambda(chi)
@@ -278,7 +267,7 @@ def suite_verma(cfg: SuiteConfig) -> SuiteReport:
     oracle_rows = {}
     z_needed = False
     for lam in lams:
-        Z = build_baby_verma(chi, lam, limit=limit)
+        Z = build_baby_verma(chi, lam, limit=cfg.limit)
         series = chop(Z, seed=cfg.seed, catalog=cat)
         oracle = {w: series.multiplicity(label_by_weight[w]) for w in weights}
         formula = {w: verma_mult_formula(lam, LambdaWeight.from_degree_zero(w, alg), alg, lc)
@@ -316,7 +305,6 @@ def suite_verma(cfg: SuiteConfig) -> SuiteReport:
 def suite_cartan(cfg: SuiteConfig) -> SuiteReport:
     alg = cfg.descriptor()
     rep = SuiteReport("cartan", cfg.as_dict())
-    limit = effective_limit(cfg)
     lc, cat, label_by_weight = _labelled_catalog(alg, cfg.seed)
     chi = PChar.zero(alg)
     lams = enumerate_lambda(chi)
@@ -324,7 +312,7 @@ def suite_cartan(cfg: SuiteConfig) -> SuiteReport:
 
     # regular-module audit: [U_0 : L(mu)] = sum_lambda dim L(lambda) c_{lambda mu}
     try:
-        U = build_regular_module(chi, limit=limit)
+        U = build_regular_module(chi, limit=cfg.limit)
         series = chop(U, seed=cfg.seed, catalog=cat)
         oracle = [series.multiplicity(label_by_weight[w]) for w in weights]
         formula = []
@@ -346,8 +334,8 @@ def suite_cartan(cfg: SuiteConfig) -> SuiteReport:
     try:
         for w1 in weights:
             lam = LambdaWeight.from_degree_zero(w1, alg)
-            Zp = build_Zproj(chi, lam, limit=limit)
-            counts = _zproj_filtration_multiplicities(Zp, alg, chi, lams, cfg.seed, limit)
+            Zp = build_Zproj(chi, lam, limit=cfg.limit)
+            counts = _zproj_filtration_multiplicities(Zp, alg, chi, lams, cfg.seed, cfg.limit)
             expected = {w2: (alg.p ** (alg.m * alg.rank) if w2 == w1 else 0) for w2 in weights}
             rep.add(f"baby Verma filtration multiplicities of the induced projective at {w1}",
                     "(Z_proj(λ):Z(μ)) = δ_{λ,μ} p^{m rank(g)}",
@@ -360,8 +348,8 @@ def suite_cartan(cfg: SuiteConfig) -> SuiteReport:
     # dual baby Vermas have the same factors
     for w in weights:
         lam = LambdaWeight.from_degree_zero(w, alg)
-        Z = build_baby_verma(chi, lam, limit=limit)
-        D = build_dual_verma(lam, alg, limit=limit)
+        Z = build_baby_verma(chi, lam, limit=cfg.limit)
+        D = build_dual_verma(lam, alg, limit=cfg.limit)
         sZ = chop(Z, seed=cfg.seed, catalog=cat)
         sD = chop(D, seed=cfg.seed, catalog=cat)
         rep.add(f"dual baby Verma at {w} has the same composition factors",
@@ -447,12 +435,11 @@ def _find_verma_summand(M, vermas, alg, seed):
 def suite_simples(cfg: SuiteConfig) -> SuiteReport:
     alg = cfg.descriptor()
     rep = SuiteReport("simples", cfg.as_dict())
-    limit = effective_limit(cfg)
-    e = _regular_nilpotent(alg)
-    chi = pchar_from_element(e)
-    lams = enumerate_lambda(chi)
+    chi = pchar_from_element(_standard_nilpotent(alg, range(1, alg.n)))
     if alg.kind == "sl":
-        mods = [build_baby_verma(chi, lam, limit=limit) for lam in lams]
+        # classified before any module is built: at m = 0 it raises OutOfScope
+        cls = classify_simples_homogeneous(chi, seed=cfg.seed)
+        mods = [build_baby_verma(chi, lam, limit=cfg.limit) for lam in enumerate_lambda(chi)]
         irr = [is_irreducible(Z, seed=cfg.seed) for Z in mods]
         rep.add("baby Vermas at the regular nilpotent character are simple",
                 "Z_χ(λ) is simple for all", {"count": len(mods)},
@@ -464,31 +451,23 @@ def suite_simples(cfg: SuiteConfig) -> SuiteReport:
         rep.add("all simple quotients are pairwise isomorphic (trivial centre)",
                 "λ|_{z(g)} = μ|_{z(g)}", {"pairs": len(iso_flags)},
                 [True] * len(iso_flags), iso_flags, cfg.seed)
-        cls = classify_simples_homogeneous(chi, seed=cfg.seed)
         rep.add("class count matches the centre of the Levi",
                 "λ|_{z(g_I)} = μ|_{z(g_I)}", {"partition": list(cls.levi.partition)},
                 cls.predicted_count, cls.class_count, cfg.seed)
     else:
-        for partition_mat, pname in _gl_partition_cases(alg):
-            _gl_classification_checks(rep, cfg, alg, partition_mat, pname, limit)
+        for e, pname in _gl_partition_cases(alg):
+            _gl_classification_checks(rep, cfg, alg, e, pname)
     return rep
 
 
 def _gl_partition_cases(alg):
-    cases = []
-    reg = np.zeros((alg.n, alg.n), dtype=np.int64)
-    for i in range(alg.n - 1):
-        reg[i, i + 1] = 1
-    cases.append((reg, "regular"))
+    cases = [(_standard_nilpotent(alg, range(1, alg.n)), "regular")]
     if alg.n >= 3:
-        sub = np.zeros((alg.n, alg.n), dtype=np.int64)
-        sub[0, 1] = 1
-        cases.append((sub, "subregular-levi"))
+        cases.append((_standard_nilpotent(alg, [1]), "subregular-levi"))
     return cases
 
 
-def _gl_classification_checks(rep, cfg, alg, emat, pname, limit):
-    e = CurrentElement.from_matrix(alg, emat, 0)
+def _gl_classification_checks(rep, cfg, alg, e, pname):
     chi = pchar_from_element(e)
     cls = classify_simples_homogeneous(chi, seed=cfg.seed)
     rep.add(f"class count for nilpotent of partition {list(cls.levi.partition)}",
@@ -512,8 +491,8 @@ def _gl_classification_checks(rep, cfg, alg, emat, pname, limit):
     pairs = 0
     for cl in cls.classes:
         lam, mu = cl[0], cl[1]
-        Zl = build_baby_verma(chi, lam, limit=limit)
-        Zm = build_baby_verma(chi, mu, limit=limit)
+        Zl = build_baby_verma(chi, lam, limit=cfg.limit)
+        Zm = build_baby_verma(chi, mu, limit=cfg.limit)
         within_ok.append(verma_intertwiner(Zm, Zl, mu) is not None)
         del Zm  # and its lifted stack, before the head of Z_lam is taken
         H = Zl if is_irreducible(Zl, seed=cfg.seed) else head(Zl, seed=cfg.seed)
@@ -543,7 +522,7 @@ def _gl_classification_checks(rep, cfg, alg, emat, pname, limit):
 def suite_semisimple(cfg: SuiteConfig) -> SuiteReport:
     alg = cfg.descriptor()
     rep = SuiteReport("semisimple", cfg.as_dict())
-    audit = semisimple_character_audit(alg, seed=cfg.seed, limit=effective_limit(cfg))
+    audit = semisimple_character_audit(alg, seed=cfg.seed, limit=cfg.limit)
     rep.add("number of simple modules at a regular toral character",
             "precisely p^{rank(g)} simple modules",
             {}, audit.expected_count, audit.simple_count, cfg.seed)
@@ -575,15 +554,14 @@ def suite_semisimple(cfg: SuiteConfig) -> SuiteReport:
 
     # completeness: every simple occurs in the regular module, so its
     # decomposition certifies that the Borel-induced simples are all of them
-    limit = effective_limit(cfg)
-    if alg.p ** alg.dim_gm <= limit:
+    if alg.p ** alg.dim_gm <= cfg.limit:
         h_reg = _regular_degree0_toral(alg)
         chi = pchar_from_element(h_reg)
         cat = SimpleCatalog(seed=cfg.seed)
         for i, lam_i in enumerate(enumerate_lambda(chi)):
-            Z = build_baby_verma(chi, lam_i, limit=limit)
+            Z = build_baby_verma(chi, lam_i, limit=cfg.limit)
             cat.match(Z, f"V{i}")
-        U = build_regular_module(chi, limit=limit)
+        U = build_regular_module(chi, limit=cfg.limit)
         useries = chop(U, seed=cfg.seed, catalog=cat)
         proj_dim = alg.p ** ((alg.m + 1) * (alg.dim_g + alg.rank) // 2 - alg.rank)
         rep.add("regular module factors are exactly the Borel-induced simples",
@@ -610,7 +588,7 @@ def suite_kw(cfg: SuiteConfig) -> SuiteReport:
     rep = SuiteReport("kw", cfg.as_dict())
     regular_limit = 800 if (alg.p == 3 and alg.m == 1) else 130
     scan = kw_scan(alg, cfg.samples, cfg.seed, regular_limit=regular_limit,
-                   limit=effective_limit(cfg), full_chop_budget=12)
+                   limit=cfg.limit, full_chop_budget=12)
     rep.add("maximal constructed simple dimension attains the bound",
             "The first Kac-Weisfeiler conjecture holds",
             {"samples": cfg.samples, "routes": dict(scan.checked_simple_counts),
@@ -623,7 +601,7 @@ def suite_kw(cfg: SuiteConfig) -> SuiteReport:
             "holds for (sl_2)_m provided p > 2",
             {"samples": cfg.samples}, [], scan.kw2_violations, cfg.seed)
     # regular toral character: simple count and projective dimension
-    audit = semisimple_character_audit(alg, seed=cfg.seed, limit=effective_limit(cfg))
+    audit = semisimple_character_audit(alg, seed=cfg.seed, limit=cfg.limit)
     rep.add("simple count at the regular toral witness",
             "precisely p^{rank(g)} simple modules",
             {}, audit.expected_count, audit.simple_count, cfg.seed)
@@ -699,7 +677,7 @@ def suite_partition(cfg: SuiteConfig) -> SuiteReport:
             "bijection f: S_γ → S_{γ+β}", {}, 0, bad_shift, cfg.seed)
 
     # graded character convolution where the graded Vermas are buildable
-    if alg.p ** ((alg.m + 1) * alg.num_pos_roots) <= effective_limit(cfg):
+    if alg.p ** ((alg.m + 1) * alg.num_pos_roots) <= cfg.limit:
         bad_conv = 0
         chi = PChar.zero(alg)
         gammas = [ctx.roots.canonical_weight((g,) + (0,) * (alg.n - 1))
@@ -707,8 +685,8 @@ def suite_partition(cfg: SuiteConfig) -> SuiteReport:
         small = get_context(alg.at_order(0))
         for gamma in gammas:
             lam = LambdaWeight.from_degree_zero(ctx.roots.d_map(gamma), alg)
-            Z = build_baby_verma(chi, lam, gamma=gamma, limit=effective_limit(cfg))
-            lhs = graded_character(Z).table
+            Z = build_baby_verma(chi, lam, gamma=gamma, limit=cfg.limit)
+            lhs = graded_character(Z)
             rhs = Counter()
             # finite sum: p_m(γ - β) vanishes unless β = γ - δ, δ in the support
             for delta in table.support():
@@ -716,9 +694,9 @@ def suite_partition(cfg: SuiteConfig) -> SuiteReport:
                 lam0 = LambdaWeight.from_degree_zero(small.roots.d_map(beta), alg.at_order(0))
                 Z0 = build_baby_verma(PChar.zero(alg.at_order(0)), lam0, gamma=beta)
                 cnt = table.table[delta]
-                for tag, mult in graded_character(Z0).table.items():
+                for tag, mult in graded_character(Z0).items():
                     rhs[tag] += cnt * mult
-            if dict(lhs) != {k: v for k, v in rhs.items() if v}:
+            if lhs != {k: v for k, v in rhs.items() if v}:
                 bad_conv += 1
         rep.add("graded characters satisfy the partition-function convolution",
                 "Char Ẑ(γ) = Σ_β p_m(γ - β) Char Ẑ^g(β)",
@@ -733,9 +711,8 @@ def suite_partition(cfg: SuiteConfig) -> SuiteReport:
 def suite_blocks(cfg: SuiteConfig) -> SuiteReport:
     alg = cfg.descriptor()
     rep = SuiteReport("blocks", cfg.as_dict())
-    limit = effective_limit(cfg)
     if alg.dim_z == 0:
-        bp = blocks(alg, seed=cfg.seed, limit=limit)
+        bp = blocks(alg, seed=cfg.seed, limit=cfg.limit)
         rep.add("single block for trivial centre",
                 "U_0(g_m) has only one block", {}, 1, bp.count, cfg.seed)
         rep.add("block count against the remark",
@@ -747,7 +724,7 @@ def suite_blocks(cfg: SuiteConfig) -> SuiteReport:
         chi = PChar.zero(alg)
         lams = enumerate_lambda(chi)
         slice_weights = [l.degree_zero for l in lams if sum(l.degree_zero) % alg.p == 0]
-        bp = blocks(alg, seed=cfg.seed, limit=limit, weights_subset=slice_weights)
+        bp = blocks(alg, seed=cfg.seed, limit=cfg.limit, weights_subset=slice_weights)
         z_classes = alg.p ** alg.dim_z
         rep.add("slice linkage graph is connected (one block per central class)",
                 "λ|_{z(g)} = μ|_{z(g)} ... lie in the same block",
@@ -758,7 +735,7 @@ def suite_blocks(cfg: SuiteConfig) -> SuiteReport:
         ctx = get_context(alg)
         eye_scalars = []
         for lam in lams[:: max(1, len(lams) // 6)]:
-            Z = build_baby_verma(chi, lam, limit=limit)
+            Z = build_baby_verma(chi, lam, limit=cfg.limit)
             zc = ctx.coords(CurrentElement.from_matrix(alg, np.eye(alg.n, dtype=np.int64), 0))
             zmat = Z.action_of_coords(zc)
             scalar = sum(lam.degree_zero) % alg.p

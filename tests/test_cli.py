@@ -102,14 +102,16 @@ def test_inspect_parse_error(tmp_path):
     assert run(["inspect", "element", str(f)]) == 2
 
 
-def test_limit_env_override(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CURRENTREP_LIMIT", "10")
+def test_limit_option_skips_oversized_constructions(capsys):
     code = run(["verify", "cartan", "--kind", "sl", "-n", "2", "-p", "3", "-m", "1",
-                "--seed", "5"])
-    monkeypatch.delenv("CURRENTREP_LIMIT")
-    # the oversized constructions are skipped, not failed
-    out = capsys.readouterr()
-    assert code in (0, 1)
+                "--seed", "5", "--limit", "10", "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    # the oversized constructions are skipped, not failed, and the report
+    # states the limit that the suite applied
+    assert code == 0
+    assert report["config"]["limit"] == 10
+    reasons = [s["reason"] for s in report["skipped"]]
+    assert reasons and all(r.endswith("exceeds limit 10") for r in reasons)
 
 
 def test_verify_rejects_nonpositive_samples_and_limits(capsys):
@@ -117,9 +119,3 @@ def test_verify_rejects_nonpositive_samples_and_limits(capsys):
     assert run(args + ["--samples", "0"]) == 2
     assert run(args + ["--limit", "-5"]) == 2
     assert "usage error" in capsys.readouterr().err
-
-
-def test_verify_rejects_a_malformed_limit_in_the_environment(monkeypatch, capsys):
-    monkeypatch.setenv("CURRENTREP_LIMIT", "abc")
-    assert run(["verify", "cartan", "--kind", "sl", "-n", "2", "-p", "3", "-m", "1"]) == 2
-    assert "CURRENTREP_LIMIT" in capsys.readouterr().err

@@ -9,7 +9,8 @@ from currentrep.formulas import (blocks, cartan_formula, cartan_matrix_formula,
                                  kostant_table, kw_scan, l_constants,
                                  pm_shift_sum, semisimple_character_audit,
                                  verma_mult_formula)
-from currentrep.modrep import LambdaWeight
+from currentrep.meataxe import SimpleCatalog, head, is_irreducible
+from currentrep.modrep import LambdaWeight, build_baby_verma, enumerate_lambda
 from currentrep.pchar import PChar, pchar_from_element
 from currentrep.suites import SuiteConfig, run_suite
 
@@ -164,6 +165,48 @@ def test_classification_rejects_inhomogeneous():
         classify_simples_homogeneous(pchar_from_element(e + et))
     with pytest.raises(OutOfScope):
         classify_simples_homogeneous(PChar.zero(SL2))
+
+
+def test_classification_rejects_degree_zero_characters():
+    gl2 = AlgebraDescriptor("gl", 2, 3, 0)
+    with pytest.raises(OutOfScope):
+        classify_simples_homogeneous(pchar_from_element(
+            CurrentElement.from_matrix(gl2, [[0, 1], [0, 0]])))
+    # at m = 1 the dual e t pairs with g_0 only, so χ reduces to order 0
+    with pytest.raises(OutOfScope):
+        classify_simples_homogeneous(pchar_from_element(
+            CurrentElement.from_matrix(SL2, [[0, 1], [0, 0]], 1)))
+
+
+@pytest.mark.parametrize("kind", ["gl", "sl"])
+def test_simples_suite_rejects_order_zero_before_building(kind, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a module was built")
+
+    monkeypatch.setattr(modrep, "build_induced", refuse)
+    with pytest.raises(OutOfScope):
+        run_suite(SuiteConfig(kind, 2, 3, 0, suite="simples", seed=7))
+
+
+def _head_classes(chi, seed=0):
+    """Weights grouped by the isomorphism class of the head of their baby
+    Verma, through one catalog over all the heads."""
+    cat = SimpleCatalog(seed=seed)
+    groups = {}
+    for lam in enumerate_lambda(chi):
+        Z = build_baby_verma(chi, lam)
+        H = Z if is_irreducible(Z, seed=seed) else head(Z, seed=seed)
+        groups.setdefault(cat.match(H), []).append(lam.values)
+    return sorted(sorted(g) for g in groups.values())
+
+
+@pytest.mark.parametrize("kind,superdiagonal", [
+    ("gl", [1, 0]), ("gl", [0, 1]), ("gl", [1, 1]), ("sl", [0, 1])])
+def test_classification_matches_the_heads_of_baby_vermas(kind, superdiagonal):
+    alg = AlgebraDescriptor(kind, 3, 2, 1)
+    chi = pchar_from_element(CurrentElement.from_matrix(alg, np.diag(superdiagonal, 1)))
+    cls = classify_simples_homogeneous(chi)
+    assert sorted(sorted(lam.values for lam in c) for c in cls.classes) == _head_classes(chi)
 
 
 def test_blocks_sl2():

@@ -7,7 +7,8 @@ from currentrep.algebra import (AlgebraDescriptor, CurrentElement,
                                 centralizer_dim, classify_element, get_context,
                                 random_element)
 from currentrep import pchar
-from currentrep.errors import InternalError, NotNilpotent, UnsupportedTruncation
+from currentrep.errors import (InternalError, NotNilpotent, OutOfScope,
+                               UnsupportedTruncation)
 from currentrep.pchar import (PChar, index_estimate, pchar_from_element,
                               pchar_jordan, random_pchar,
                               stabilizer_dim, stabilizer_dim_coeffs,
@@ -85,25 +86,64 @@ def test_levi_form_examples():
         standard_levi_form(CurrentElement.from_matrix(g3, np.eye(3, dtype=np.int64)))
 
 
-def test_levi_form_random_conjugation():
+def _jordan_type(A, p):
+    """Block sizes of a nilpotent matrix, longest first, from the ranks of
+    its powers: rank A^(k-1) - rank A^k blocks have size at least k."""
+    n = A.shape[0]
+    ranks = [n]
+    power = np.eye(n, dtype=np.int64)
+    while ranks[-1]:
+        power = linalg.matmul(power, A, p)
+        ranks.append(int(linalg.rank(power, p)))
+    at_least = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
+    sizes = []
+    for k, count in enumerate(at_least, start=1):
+        exactly = count - (at_least[k] if k < len(at_least) else 0)
+        sizes += [k] * exactly
+    return tuple(sorted(sizes, reverse=True))
+
+
+def test_levi_form_rejects_nonstandard_nilpotents():
     g3 = AlgebraDescriptor("gl", 3, 3, 0)
+    with pytest.raises(OutOfScope):
+        standard_levi_form(CurrentElement.from_matrix(g3, [[0, 0, 1], [0, 0, 0], [0, 0, 0]]))
     rng = np.random.default_rng(5)
+    rejected = 0
     for _ in range(30):
         up = np.triu(rng.integers(0, 3, (3, 3)), 1)
         while True:
             g = rng.integers(0, 3, (3, 3))
-            try:
-                gi = linalg.inv(g, 3)
+            if linalg.rank(g, 3) == 3:
                 break
-            except Exception:
-                continue
-        M = linalg.matmul(linalg.matmul(g, up, 3), gi, 3)
-        ld = standard_levi_form(CurrentElement.from_matrix(g3, M))
-        # conjugator is invertible and reaches the block Jordan form
-        check = linalg.matmul(linalg.matmul(ld.conjugator, M, 3),
-                              linalg.inv(ld.conjugator, 3), 3)
-        assert np.array_equal(check, ld.jordan_form)
-        assert sum(ld.partition) == 3
+        M = linalg.matmul(linalg.matmul(g, up, 3), linalg.inv(g, 3), 3)
+        e = CurrentElement.from_matrix(g3, M)
+        if np.array_equal(M, np.diag(np.diagonal(M, 1), 1)):
+            assert standard_levi_form(e).partition == _jordan_type(M, 3)
+            continue
+        with pytest.raises(OutOfScope):
+            standard_levi_form(e)
+        rejected += 1
+    assert rejected >= 20
+
+
+@pytest.mark.parametrize("kind,n,p", [("gl", 2, 2), ("gl", 4, 3), ("sl", 5, 2),
+                                      ("gl", 6, 5), ("sl", 6, 7)])
+def test_levi_form_reads_the_runs_of_the_superdiagonal(kind, n, p):
+    alg = AlgebraDescriptor(kind, n, p, 1)
+    rng = np.random.default_rng((n, p))
+    for _ in range(20):
+        in_I = rng.integers(0, 2, n - 1).astype(bool)
+        c = np.where(in_I, rng.integers(1, p, n - 1), 0)
+        A = np.diag(c, 1)
+        ld = standard_levi_form(CurrentElement.from_matrix(alg, A))
+        I = tuple(i + 1 for i in range(n - 1) if in_I[i])
+        assert ld.simple_subset == I
+        # the blocks tile 0..n in order, and i, i+1 share a block exactly for i in I
+        assert ld.blocks[0][0] == 0 and ld.blocks[-1][1] == n
+        assert all(b == a2 for (_, b), (a2, _) in zip(ld.blocks, ld.blocks[1:]))
+        starts = {a for a, _ in ld.blocks}
+        assert all((i in starts) == (i not in I) for i in range(1, n))
+        assert ld.partition == _jordan_type(A, p)
 
 
 def test_index_estimates():
