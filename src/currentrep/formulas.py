@@ -210,7 +210,7 @@ class SimpleClassification:
     predicted_count: int
 
 
-def classify_simples_homogeneous(chi: PChar, seed: int = 0) -> SimpleClassification:
+def classify_simples_homogeneous(chi: PChar) -> SimpleClassification:
     """Partition of Λ_χ by λ|_{z(g_I)}, for χ homogeneous of standard Levi
     type: reduced to g_k, k its support degree, χ = κ_k(e, ·) with
     e = Σ_{i∈I} c_i E_{i,i+1} in degree 0 (``standard_levi_form``).

@@ -2,9 +2,12 @@
 
 Induced modules are built on the monomial basis u_1^{a_1}...u_k^{a_k} ⊗ w
 over an ordered complement basis (exponents below p), with generator actions
-computed by memoised PBW straightening.  Rewriting uses only the structure
-constants, the p-power expansions and the reduction u^p = u^{[p]} + χ(u)
-(the p-th power of a scalar is itself over F_p).
+computed by memoised PBW straightening.  One commutation rule,
+x u = u x + [x, u], rewrites complement and base generators alike, and the
+reduction u^p = u^{[p]} + χ(u) ends a factor at its top exponent (the p-th
+power of a scalar is itself over F_p); each normal form is a flat dict over
+(monomial, base slot) pairs.  Rewriting uses only the structure constants and
+the p-power expansions.
 
 Each builder is one induction: of a weight line k_λ over n⁻ (baby Verma),
 over n⁺ (dual baby Verma, then dualised), over the higher torus (torus
@@ -39,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import sys
 import types
 from dataclasses import dataclass
 
@@ -258,11 +260,19 @@ class ModuleRep:
 class _NormalForms:
     """Memoised PBW rewriting over Python integers, for one table key.
 
-    Complement-side forms (``prepend``) are {exps: c}, the scalar c on the
-    base; base-side forms (``apply``) are {exps: {slot: c}}, with slot 0 the
-    identity and slot s the action of ``base_gens[s - 1]``.  The complement
-    must be a restricted subalgebra, so that brackets and p-th powers of its
-    elements rewrite inside it.
+    ``apply(g, a)`` is the normal form of b_g u^a as a flat dict
+    {(a', s): c}: c times u^{a'} ⊗ slot s, with slot 0 the identity and slot
+    s the action of ``base_gens[s - 1]``.  Complement elements only ever
+    produce slot 0.  One commutation rule rewrites every generator: b_g
+    moves left past the first factor u_i with i < pos(g), by
+    b_g u_i = u_i b_g + [b_g, u_i], where a base generator counts as coming
+    after every factor.  With no such factor left, a complement element
+    raises its own exponent or, at p - 1, becomes χ(u) + u^{[p]}, and a base
+    generator acts on the base through its slot.  The complement must be a
+    restricted subalgebra, so that brackets and p-th powers of its elements
+    rewrite inside it.  The tables ask for the forms of each generator in
+    lexicographic exponent order, so most forms a rewrite needs are already
+    memoised and the recursion stays a few calls deep.
     """
 
     def __init__(self, ctx, comp, chi_comp, base_gens):
@@ -272,15 +282,8 @@ class _NormalForms:
         self.pos = {g: i for i, g in enumerate(comp)}
         self.chi = chi_comp                        # χ(comp[j]), by position
         self.slot = {g: s + 1 for s, g in enumerate(base_gens)}
-        self.memo_apply = {}
-        self.memo_prepend = {}
+        self.memo = {}
         self.brackets = {}
-        self.steps = 0
-
-    def _tick(self):
-        self.steps += 1
-        if self.steps > _STEP_GUARD:
-            raise InternalError(f"straightening exceeded its guard of {_STEP_GUARD} steps")
 
     def _bracket(self, g: int, h: int) -> tuple:
         """Nonzero structure constants (z, c) of [b_g, b_h]."""
@@ -290,72 +293,41 @@ class _NormalForms:
             hit = self.brackets[(g, h)] = tuple((int(z), int(br[z])) for z in np.nonzero(br)[0])
         return hit
 
-    def prepend(self, j: int, a: tuple) -> dict:
-        """Normal form of u_j * u^a."""
-        key = (j, a)
-        hit = self.memo_prepend.get(key)
+    def apply(self, g: int, a: tuple) -> dict:
+        """Normal form {(a', s): c} of b_g * u^a, for any generator b_g."""
+        key = (g, a)
+        hit = self.memo.get(key)
         if hit is not None:
             return hit
-        self._tick()
+        if len(self.memo) >= _STEP_GUARD:
+            raise InternalError(f"straightening exceeded its guard of {_STEP_GUARD} normal forms")
         p = self.p
+        j = self.pos.get(g, len(a))  # a base generator comes after every factor
         i = next((i for i in range(j) if a[i]), None)
-        out = {}
+        out, terms = {}, ()  # terms: (z, c), each adding c b_z u^rest
         if i is not None:
             rest = a[:i] + (a[i] - 1,) + a[i + 1:]
-            for a2, c in self.prepend(j, rest).items():
-                for a3, c2 in self.prepend(i, a2).items():
-                    out[a3] = (out.get(a3, 0) + c * c2) % p
-            for z, c in self._bracket(self.comp[j], self.comp[i]):
-                for a3, c2 in self.prepend(self.pos[z], rest).items():
-                    out[a3] = (out.get(a3, 0) + c * c2) % p
-        elif a[j] < p - 1:
-            out[a[:j] + (a[j] + 1,) + a[j + 1:]] = 1
-        else:
-            rest = a[:j] + (0,) + a[j + 1:]
-            if self.chi[j]:  # χ(u)^p = χ(u) over F_p
-                out[rest] = self.chi[j]
-            pm = self.ctx.pmap_coords[self.comp[j]]
-            for z in np.nonzero(pm)[0]:
-                for a3, c2 in self.prepend(self.pos[int(z)], rest).items():
-                    out[a3] = (out.get(a3, 0) + int(pm[z]) * c2) % p
-        out = {a3: c for a3, c in out.items() if c}
-        self.memo_prepend[key] = out
-        return out
-
-    def apply(self, g: int, a: tuple) -> dict:
-        """Normal form of b_g * u^a, for any generator b_g."""
-        if g in self.pos:
-            return {a2: {0: c} for a2, c in self.prepend(self.pos[g], a).items()}
-        key = (g, a)
-        hit = self.memo_apply.get(key)
-        if hit is not None:
-            return hit
-        self._tick()
-        p = self.p
-        i = next((i for i, v in enumerate(a) if v), None)
-        out = {}
-
-        def add(a3, form, c):
-            cur = out.setdefault(a3, {})
-            for s, v in form.items():
-                cur[s] = (cur.get(s, 0) + c * v) % p
-
-        if i is None:
+            for (a2, s), c in self.apply(g, rest).items():
+                for (a3, _), c2 in self.apply(self.comp[i], a2).items():
+                    out[a3, s] = out.get((a3, s), 0) + c * c2
+            terms = self._bracket(g, self.comp[i])
+        elif g not in self.pos:
             s = self.slot.get(g)
             if s is None:
                 raise InternalError("generator outside complement and base subalgebra")
-            out[a] = {s: 1}
+            out[a, s] = 1
+        elif a[j] < p - 1:
+            out[a[:j] + (a[j] + 1,) + a[j + 1:], 0] = 1
         else:
-            rest = a[:i] + (a[i] - 1,) + a[i + 1:]
-            for a2, form in self.apply(g, rest).items():
-                for a3, c in self.prepend(i, a2).items():
-                    add(a3, form, c)
-            for z, c in self._bracket(g, self.comp[i]):
-                for a3, form in self.apply(z, rest).items():
-                    add(a3, form, c)
-        out = {a3: f for a3, f in ((a3, {s: v for s, v in f.items() if v})
-                                   for a3, f in out.items()) if f}
-        self.memo_apply[key] = out
+            rest = a[:j] + (0,) + a[j + 1:]
+            out[rest, 0] = self.chi[j]  # χ(u)^p = χ(u) over F_p
+            pm = self.ctx.pmap_coords[g]
+            terms = [(int(z), int(pm[z])) for z in np.nonzero(pm)[0]]
+        for z, c in terms:
+            for k, c2 in self.apply(z, rest).items():
+                out[k] = out.get(k, 0) + c * c2
+        out = {k: c % p for k, c in out.items() if c % p}
+        self.memo[key] = out
         return out
 
 
@@ -373,7 +345,6 @@ def _normal_form_tables(alg, comp: tuple, chi_comp: tuple, base_gens: tuple):
     if (np.any(ctx.bracket_coords[np.ix_(inner, inner, outer)])
             or np.any(ctx.pmap_coords[np.ix_(inner, outer)])):
         raise OutOfScope("complement is not closed under the bracket and the p-map")
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
     nf = _NormalForms(ctx, comp, chi_comp, base_gens)
     exps = list(itertools.product(range(alg.p), repeat=len(comp)))
     rank = {a: t for t, a in enumerate(exps)}
@@ -381,12 +352,11 @@ def _normal_form_tables(alg, comp: tuple, chi_comp: tuple, base_gens: tuple):
     for g in sorted(set(comp) | set(base_gens)):
         rows, cols, slots, coefs = [], [], [], []
         for col, a in enumerate(exps):
-            for a2, form in nf.apply(g, a).items():
-                for s, c in form.items():
-                    rows.append(rank[a2])
-                    cols.append(col)
-                    slots.append(s)
-                    coefs.append(c)
+            for (a2, s), c in sorted(nf.apply(g, a).items()):  # one block's entries adjacent
+                rows.append(rank[a2])
+                cols.append(col)
+                slots.append(s)
+                coefs.append(c)
         # the narrowest dtypes, since the tables stay cached
         table = tuple(np.array(x, dtype=np.min_scalar_type(max(x, default=0)))
                       for x in (rows, cols, slots, coefs))

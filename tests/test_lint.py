@@ -10,9 +10,10 @@ function that the benchmark wraps by name would only show when the
 benchmark runs; code outside ``linalg`` that reads its private helpers
 or the lifted action stack depends on how F_p values are held in flight,
 which only ``linalg`` may know; a function or class that no library
-code reads is API that only tests keep alive; and a module that the
-README does not name, or a name there with no module, leaves its map of
-the package wrong.
+code reads is API that only tests keep alive; a ``sys.set*`` call (the
+recursion limit, say) changes the interpreter for every caller of the
+library; and a module that the README does not name, or a name there with
+no module, leaves its map of the package wrong.
 """
 
 import ast
@@ -89,6 +90,21 @@ def test_no_unused_imports_in_library_code():
                     name = (alias.asname or alias.name).split(".")[0]
                     if name not in read:
                         found.append(f"{path.relative_to(SRC)}:{node.lineno} {name}")
+    assert found == []
+
+
+def test_library_code_sets_no_interpreter_state():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            where = f"{path.relative_to(SRC)}:{getattr(node, 'lineno', '?')}"
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "sys" and node.attr.startswith("set")):
+                found.append(f"{where} sys.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+                found += [f"{where} import {a.name}" for a in node.names
+                          if a.name.startswith("set")]
     assert found == []
 
 

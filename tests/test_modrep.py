@@ -19,7 +19,7 @@ from currentrep.modrep import (LambdaWeight, ModuleRep, build_baby_verma,
                                enumerate_lambda, inflate,
                                lambda_equations_hold, solve_twist_weight,
                                twist_module)
-from currentrep.pchar import PChar, pchar_from_element
+from currentrep.pchar import PChar, pchar_from_element, random_pchar
 from currentrep.suites import SuiteConfig, run_suite
 
 SL2 = AlgebraDescriptor("sl", 2, 3, 1)
@@ -196,6 +196,20 @@ def test_regular_module_sizes():
     g3 = AlgebraDescriptor("gl", 3, 3, 1)
     with pytest.raises(TooLarge):
         build_regular_module(PChar.zero(g3))
+
+
+@pytest.mark.parametrize("kind,n,p,m", [("gl", 2, 2, 1), ("sl", 3, 2, 0), ("sl", 2, 5, 0)])
+def test_regular_module_at_a_nonzero_character_is_a_module(kind, n, p, m):
+    # the whole algebra is the complement, so straightening runs every
+    # rewrite, p-th powers reducing with χ(u) ≠ 0 among them
+    alg = AlgebraDescriptor(kind, n, p, m)
+    rng = np.random.default_rng(18)
+    for _ in range(2):
+        chi = random_pchar(alg, rng)
+        assert chi.coords().any()
+        M = build_regular_module(chi)
+        assert M.dim == p ** get_context(alg).dim
+        assert check_module_axioms(M).ok
 
 
 def test_module_stack_is_the_stored_actions_read_only():
@@ -471,6 +485,8 @@ def test_normal_form_tables_are_shared_and_read_only(monkeypatch):
     chi = PChar.zero(SL2)
     lams = enumerate_lambda(chi)
     other = PChar.zero(AlgebraDescriptor("gl", 2, 3, 1))
+    # a Verma form on sl3 lists the slots of one monomial apart
+    sl3 = PChar.zero(AlgebraDescriptor("sl", 3, 2, 0))
     builders = [
         lambda: build_baby_verma(chi, lams[0], gamma=(0, 0)),
         lambda: build_baby_verma(chi, lams[2]),
@@ -479,6 +495,7 @@ def test_normal_form_tables_are_shared_and_read_only(monkeypatch):
         lambda: build_Zproj(chi, lams[1]),
         lambda: build_torus_projective(chi, lams[2]),
         lambda: build_regular_module(chi),
+        lambda: build_baby_verma(sl3, enumerate_lambda(sl3)[0]),
     ]
     for build in builders:
         cached.cache_clear()
@@ -491,6 +508,13 @@ def test_normal_form_tables_are_shared_and_read_only(monkeypatch):
     for table in tables:
         for arrays in table.values():
             assert all(not x.flags.writeable for x in arrays)
+            # what _assemble relies on: each (row, col) block is one run of
+            # entries and holds each slot at most once
+            rows, cols, slots, _ = (x.tolist() for x in arrays)
+            blocks = list(zip(rows, cols))
+            runs = [b for k, b in enumerate(blocks) if k == 0 or b != blocks[k - 1]]
+            assert len(runs) == len(set(runs))
+            assert len(set(zip(rows, cols, slots))) == len(rows)
 
 
 def _reference_torus_projective(chi, lam):
